@@ -115,6 +115,16 @@ def masked_softmax(logits, mask=None) -> Node:
     return Node(p, "masked_softmax", (xn,), vjp)
 
 
+def attention(q, k, v, mask, inv: float) -> Node:
+    """`tensor.attention` recorded as its five dense nodes.
+
+    The value equals the windowed `tensor.attention` bit for bit. The tape
+    keeps the dense T×T form so that the gradients, and the order in which
+    they are summed, do not depend on the mask's window.
+    """
+    return matmul(masked_softmax(scale(matmul(q, transpose(k)), inv), mask), v)
+
+
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
     xn, gn, bn = _lift(x), _lift(gamma), _lift(beta)
     out = tensor.layer_norm(xn.value, gn.value, bn.value, eps)

@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("equiv", help="incremental vs parallel equivalence sweep")
-    p.add_argument("--config", default=None)
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--dtype", choices=("f32", "f64"), default="f64")
     p.add_argument("--out", default=None)
@@ -150,7 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_equiv(args) -> int:
-    load_run_config(args.config)
     report = evaluation.equivalence_sweep(seeds=tuple(range(args.seeds)), dtype=args.dtype)
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     if not report.ok:

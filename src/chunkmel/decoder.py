@@ -9,6 +9,11 @@ Two inference routes over the same weights:
   attention mask, with kernel-1 left zero-padding for the convolutions.
   This is both the training-time forward and the equivalence oracle.
 
+Both routes call one attention primitive, `tensor.attention`: the chunk
+step with no mask over its cache plus chunk, the parallel route with the
+chunk mask. Under a mask each block of queries is scored only against
+the keys it may see, so the parallel route costs O(T·window), not O(T²).
+
 Both routes compute every reduction in the same left-to-right order, and
 masked attention positions contribute exact zeros, so their outputs agree
 bit-for-bit up to the sign of zero ties. A blocked-out key never perturbs
@@ -31,6 +36,27 @@ from . import io, masks, tensor
 from .tensor import DTYPES, ShapeError
 
 ALL = masks.ALL
+
+
+class NonFiniteInputError(ValueError):
+    """A feature array holds NaN or infinity."""
+
+
+def _check_finite(features: np.ndarray, where: str, offset: int | None = None) -> None:
+    """Reject NaN or infinite features, naming the first bad frame.
+
+    `offset` is the stream frame of a chunk's first row; the message then
+    gives both the stream frame and the row within the chunk.
+    """
+    if np.isfinite(features).all():
+        return
+    row = int(np.argmin(np.isfinite(features).all(axis=1)))
+    if offset is None:
+        raise NonFiniteInputError(f"{where}: non-finite feature at frame {row}")
+    raise NonFiniteInputError(
+        f"{where}: non-finite feature at frame {offset + row} "
+        f"(row {row} of the chunk at frame offset {offset})"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +368,7 @@ def load_decoder_state(path: str, config: DecoderConfig) -> DecoderState:
         raise io.FormatError(
             f"{path}: snapshot holds {len(tensors)} tensors, config needs {expected}"
         )
+    rows = frame_offset if config.past_size == ALL else min(frame_offset, config.past_size)
     layers = []
     for l in range(config.n_layers):
         block = tensors[l * per_layer : (l + 1) * per_layer]
@@ -358,6 +385,19 @@ def load_decoder_state(path: str, config: DecoderConfig) -> DecoderState:
         for arr in pk + pv:
             if arr.ndim != 2 or arr.shape[1] != config.d_head:
                 raise io.FormatError(f"{path}: cache row width {arr.shape} != d_head")
+        for i, (k, v) in enumerate(zip(pk, pv)):
+            where = f"{path}: layer {l} head {i}"
+            if len(k) != len(v):
+                raise io.FormatError(f"{where}: key cache has {len(k)} rows, value cache {len(v)}")
+            if config.past_size != ALL and len(k) > config.past_size:
+                raise io.FormatError(
+                    f"{where}: cache holds {len(k)} rows, more than past_size {config.past_size}"
+                )
+            if len(k) != rows:
+                raise io.FormatError(
+                    f"{where}: cache holds {len(k)} rows, frame offset {frame_offset} "
+                    f"with past_size {config.past_size} needs {rows}"
+                )
         layers.append(
             LayerState(
                 attn=AttentionState(pk=list(pk), pv=list(pv)),
@@ -412,9 +452,7 @@ def mha_chunk_step(
         q = tensor.matmul(x, w.wq[i])
         k_cat = tensor.concat_time(st.pk[i], tensor.matmul(x, w.wk[i]))
         v_cat = tensor.concat_time(st.pv[i], tensor.matmul(x, w.wv[i]))
-        scores = tensor.scale(tensor.matmul(q, tensor.transpose(k_cat)), inv)
-        probs = tensor.masked_softmax(scores, None)
-        heads.append(tensor.matmul(probs, v_cat))
+        heads.append(tensor.attention(q, k_cat, v_cat, None, inv))
         keep = len(k_cat) if config.past_size == ALL else config.past_size
         new_pk.append(tensor.tail_slice(k_cat, keep))
         new_pv.append(tensor.tail_slice(v_cat, keep))
@@ -462,6 +500,7 @@ def decode_chunk(
         raise ShapeError(f"decode_chunk: chunk shape {chunk.shape} != (*, {cfg.d_model})")
     if len(chunk) == 0:
         raise ShapeError("decode_chunk: empty chunk")
+    _check_finite(chunk, "decode_chunk", state.frame_offset)
     pe = positional_encoding(state.frame_offset, len(chunk), cfg.d_model, cfg.dtype)
     h = tensor.add(chunk, pe)
     new_layers = []
@@ -522,9 +561,7 @@ def forward_named(ops, features, params, config: DecoderConfig, mask) -> object:
             q = ops.matmul(h, params[pref + f"wq.{i}"])
             k = ops.matmul(h, params[pref + f"wk.{i}"])
             v = ops.matmul(h, params[pref + f"wv.{i}"])
-            scores = ops.scale(ops.matmul(q, ops.transpose(k)), inv)
-            probs = ops.masked_softmax(scores, mask)
-            heads.append(ops.matmul(probs, v))
+            heads.append(ops.attention(q, k, v, mask, inv))
         attn = ops.matmul(ops.concat_feat(heads), params[pref + "wo"])
         r1 = ops.layer_norm(
             ops.add(h, attn), params[pref + "ln1_gamma"], params[pref + "ln1_beta"], config.ln_eps
@@ -560,6 +597,7 @@ def decode_parallel_masked(
         raise ShapeError(
             f"decode_parallel_masked: mask {mask.permitted.shape} != frames {len(features)}"
         )
+    _check_finite(features, "decode_parallel_masked")
     return forward_named(tensor, features, weights_to_named(model), cfg, mask)
 
 

@@ -15,7 +15,9 @@ state, second conv state.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from io import BytesIO
 from typing import BinaryIO
 
 import numpy as np
@@ -50,6 +52,19 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     return data
 
 
+def _file_bytes(path: str) -> BytesIO:
+    """The whole file in memory: one read, and seeks that cost no system call."""
+    with open(path, "rb") as f:
+        return BytesIO(f.read())
+
+
+def _bytes_left(f: BinaryIO) -> int:
+    pos = f.tell()
+    end = f.seek(0, os.SEEK_END)
+    f.seek(pos)
+    return end - pos
+
+
 def _read_tensor_body(f: BinaryIO) -> np.ndarray:
     (ndim,) = struct.unpack("<I", _read_exact(f, 4, "ndim"))
     if ndim > 8:
@@ -62,7 +77,13 @@ def _read_tensor_body(f: BinaryIO) -> np.ndarray:
     count = 1
     for d in dims:
         count *= d
-    payload = _read_exact(f, count * dtype.itemsize, "tensor payload")
+    size = count * dtype.itemsize
+    left = _bytes_left(f)
+    if size > left:
+        raise FormatError(
+            f"truncated file: tensor {tuple(dims)} declares {size} payload bytes, {left} left"
+        )
+    payload = _read_exact(f, size, "tensor payload")
     arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
     return arr.astype(arr.dtype.newbyteorder("="), copy=True)
 
@@ -80,7 +101,7 @@ def save_tensor(path: str, arr: np.ndarray) -> None:
 
 
 def load_tensor(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
+    with _file_bytes(path) as f:
         arr = read_tensor(f)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after tensor payload")
@@ -101,7 +122,7 @@ def save_weights(path: str, config: dict, tensors: dict[str, np.ndarray]) -> Non
 
 
 def load_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as f:
+    with _file_bytes(path) as f:
         magic = _read_exact(f, 4, "CFPW magic")
         if magic != WEIGHTS_MAGIC:
             raise FormatError(f"{path}: bad weights magic {magic!r}")
@@ -134,7 +155,7 @@ def save_state(path: str, frame_offset: int, tensors: list[np.ndarray]) -> None:
 
 
 def load_state(path: str) -> tuple[int, list[np.ndarray]]:
-    with open(path, "rb") as f:
+    with _file_bytes(path) as f:
         magic = _read_exact(f, 4, "CFPS magic")
         if magic != STATE_MAGIC:
             raise FormatError(f"{path}: bad state magic {magic!r}")

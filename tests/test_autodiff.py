@@ -179,6 +179,33 @@ def test_recording_is_bit_transparent():
     assert np.array_equal(plain, recorded)
 
 
+@pytest.mark.parametrize("chunk,past,t", [(4, 3, 100), (30, 15, 300), (1, "all", 70)])
+def test_windowed_forward_equals_recorded_dense_tape(chunk, past, t):
+    """The plain forward scores key windows; the tape keeps five dense
+    attention nodes per head. Their values agree byte for byte."""
+    from chunkmel import decoder, masks
+
+    cfg = decoder.DecoderConfig(
+        n_layers=2, n_heads=2, d_model=8, d_ff=12, chunk_size=chunk, past_size=past, mel_bins=5
+    )
+    params = decoder.weights_to_named(decoder.init_weights(cfg, seed=7))
+    feats = rand((t, 8), 8)
+    mask = masks.build_static_mask(t, chunk, past)
+
+    def program(ops, inp, p):
+        return decoder.forward_named(ops, inp, p, cfg, mask)
+
+    plain = program(tensor, feats, params)
+    recorded, tape = autodiff.forward_record(program, feats, params)
+    assert plain.tobytes() == recorded.tobytes()
+    ops = [n.op for n in tape.nodes]
+    per_head = cfg.n_layers * cfg.n_heads
+    assert ops.count("masked_softmax") == per_head
+    assert ops.count("transpose") == per_head
+    assert ops.count("scale") == per_head
+    assert all(n.value.shape == (t, t) for n in tape.nodes if n.op == "masked_softmax")
+
+
 def test_backward_rejects_bad_seed_shape():
     _, tape = autodiff.forward_record(
         lambda ops, inp, p: ops.scale(p["w"], 1.0), None, {"w": rand((2, 3), 33)}

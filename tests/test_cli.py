@@ -190,6 +190,36 @@ class TestSynthCommand:
         )
         assert code == 2
 
+    def test_non_finite_features_are_usage_errors(self, tmp_path, capsys):
+        model_path, cfg = tiny_model_file(tmp_path)
+        feats = np.random.default_rng(3).standard_normal((10, cfg.d_model))
+        feats[5, 1] = np.nan
+        feats_path = str(tmp_path / "nan.ctn")
+        io.save_tensor(feats_path, feats)
+        for mode in ("incremental", "parallel"):
+            code = cli.cli_dispatch(
+                ["synth", "--model", model_path, "--features", feats_path, "--mode", mode,
+                 "--out", str(tmp_path / "o.ctn")]
+            )
+            assert code == 2
+            assert "non-finite feature at frame 5" in capsys.readouterr().err
+
+    def test_oversized_state_cache_is_format_error(self, tmp_path, capsys):
+        model_path, cfg = tiny_model_file(tmp_path)
+        state = decoder.init_state(cfg)
+        for ls in state.layers:
+            ls.attn.pk = [np.zeros((40, cfg.d_head)) for _ in ls.attn.pk]
+            ls.attn.pv = [np.zeros((40, cfg.d_head)) for _ in ls.attn.pv]
+        state.frame_offset = 40
+        state_path = str(tmp_path / "big.cfps")
+        decoder.save_decoder_state(state_path, state)
+        code = cli.cli_dispatch(
+            ["synth", "--model", model_path, "--features", self.make_features(tmp_path, cfg),
+             "--out", str(tmp_path / "o.ctn"), "--state-in", state_path]
+        )
+        assert code == 3
+        assert "more than past_size" in capsys.readouterr().err
+
     def test_missing_model_is_io_error(self, tmp_path, capsys):
         feats_path = str(tmp_path / "f.ctn")
         io.save_tensor(feats_path, np.zeros((4, 8)))
@@ -228,6 +258,10 @@ class TestReportCommands:
         assert doc["ok"] is True
         assert doc["n_cells"] >= 300
         assert doc["max_abs_diff"] <= 1e-9
+
+    def test_equiv_takes_no_config(self, tmp_path, capsys):
+        # the sweep runs its own grid, so a config file would be ignored
+        assert cli.cli_dispatch(["equiv", "--config", write_config(tmp_path)]) == 2
 
     def test_bench_json(self, tmp_path):
         model_path, _cfg = tiny_model_file(tmp_path)

@@ -208,6 +208,45 @@ class TestStateFiles:
         with pytest.raises(io.FormatError):
             decoder.load_decoder_state(path, tiny_cfg(kernel1=5))
 
+    def write_state(self, tmp_path, cfg, frame_offset, k_rows, v_rows=None):
+        """A snapshot whose every key cache has k_rows rows, value caches v_rows."""
+        v_rows = k_rows if v_rows is None else v_rows
+        state = decoder.init_state(cfg)
+        for ls in state.layers:
+            ls.attn.pk = [np.zeros((k_rows, cfg.d_head)) for _ in ls.attn.pk]
+            ls.attn.pv = [np.zeros((v_rows, cfg.d_head)) for _ in ls.attn.pv]
+        state.frame_offset = frame_offset
+        path = str(tmp_path / "s.cfps")
+        decoder.save_decoder_state(path, state)
+        return path
+
+    def test_state_rejects_cache_longer_than_past(self, tmp_path):
+        cfg = tiny_cfg(past_size=15)
+        path = self.write_state(tmp_path, cfg, frame_offset=40, k_rows=40)
+        with pytest.raises(io.FormatError, match="more than past_size 15"):
+            decoder.load_decoder_state(path, cfg)
+
+    def test_state_rejects_unequal_key_and_value_caches(self, tmp_path):
+        cfg = tiny_cfg(past_size=15)
+        path = self.write_state(tmp_path, cfg, frame_offset=40, k_rows=15, v_rows=14)
+        with pytest.raises(io.FormatError, match="key cache has 15 rows, value cache 14"):
+            decoder.load_decoder_state(path, cfg)
+
+    def test_state_rejects_rows_that_do_not_match_frame_offset(self, tmp_path):
+        cfg = tiny_cfg(past_size=15)
+        path = self.write_state(tmp_path, cfg, frame_offset=40, k_rows=10)
+        with pytest.raises(io.FormatError, match="needs 15"):
+            decoder.load_decoder_state(path, cfg)
+        path = self.write_state(tmp_path, cfg, frame_offset=8, k_rows=10)
+        with pytest.raises(io.FormatError, match="needs 8"):
+            decoder.load_decoder_state(path, cfg)
+        cfg_all = tiny_cfg(past_size=masks.ALL)
+        path = self.write_state(tmp_path, cfg_all, frame_offset=40, k_rows=15)
+        with pytest.raises(io.FormatError, match="needs 40"):
+            decoder.load_decoder_state(path, cfg_all)
+        path = self.write_state(tmp_path, cfg_all, frame_offset=40, k_rows=40)
+        assert decoder.load_decoder_state(path, cfg_all).frame_offset == 40
+
     def test_named_weights_roundtrip_and_coverage(self):
         cfg = tiny_cfg()
         model = decoder.init_weights(cfg, seed=16)
@@ -407,3 +446,21 @@ class TestConfig:
         feats = make_inputs(cfg, 6)
         with pytest.raises(ShapeError):
             decoder.decode_parallel_masked(feats, model, masks.build_static_mask(5, 2, 1))
+
+    def test_non_finite_features_name_the_first_bad_frame(self):
+        cfg = tiny_cfg()
+        model = decoder.init_weights(cfg, seed=0)
+        feats = make_inputs(cfg, 20)
+        feats[13, 2] = np.nan
+        feats[17, 0] = np.inf
+        mask = masks.build_static_mask(20, cfg.chunk_size, cfg.past_size)
+        with pytest.raises(decoder.NonFiniteInputError, match="at frame 13$"):
+            decoder.decode_parallel_masked(feats, model, mask)
+        with pytest.raises(
+            decoder.NonFiniteInputError, match=r"frame 13 \(row 1 of the chunk at frame offset 12\)"
+        ):
+            decoder.decode_incremental(feats, model)
+        _, state = decoder.decode_incremental(feats[:12], model)
+        feats[13] = 0.0
+        with pytest.raises(decoder.NonFiniteInputError, match=r"frame 17 \(row 1 of the chunk"):
+            decoder.decode_incremental(feats[12:], model, state)

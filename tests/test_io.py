@@ -67,6 +67,20 @@ def test_tensor_load_rejects_corruption(tmp_path):
         io.load_tensor(write("code.ctn", bad_code))
 
 
+def test_oversized_header_is_format_error_not_memory_error(tmp_path):
+    # 1M x 1M f64 declares 8 TB of payload; the file holds 16 bytes of it.
+    blob = io.TENSOR_MAGIC + struct.pack("<I", 2) + struct.pack("<2Q", 10**6, 10**6)
+    blob += struct.pack("<B", 1) + b"\x00" * 16
+    path = tmp_path / "huge.ctn"
+    path.write_bytes(blob)
+    with pytest.raises(io.FormatError, match="declares 8000000000000 payload bytes"):
+        io.load_tensor(str(path))
+    state = tmp_path / "huge.cfps"
+    state.write_bytes(io.STATE_MAGIC + struct.pack("<Q", 0) + blob)
+    with pytest.raises(io.FormatError, match="payload"):
+        io.load_state(str(state))
+
+
 def test_loaded_tensor_is_native_and_writable(tmp_path):
     path = str(tmp_path / "w.ctn")
     io.save_tensor(path, np.ones((2, 2)))

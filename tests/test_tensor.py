@@ -154,6 +154,44 @@ def test_softmax_accepts_mask_objects():
 
 
 # ---------------------------------------------------------------------------
+# attention
+
+
+def dense_attention(q, k, v, mask, inv):
+    """The whole T×T score matrix, masked: what windowing must reproduce."""
+    scores = tensor.scale(tensor.matmul(q, tensor.transpose(k)), inv)
+    return tensor.matmul(tensor.masked_softmax(scores, mask), v)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("chunk", [1, 4, 7, 30])
+def test_attention_windowed_equals_dense_bitwise(dtype, chunk):
+    from chunkmel import masks
+
+    for past in sorted({0, (chunk + 1) // 2, chunk, 2 * chunk + 1}) + [masks.ALL]:
+        for t in sorted({1, chunk, 3 * chunk + 2, 50, 300}):
+            q, k, v = (rand((t, 8), dtype, seed=t + s) for s in range(3))
+            m = masks.build_static_mask(t, chunk, past)
+            got = tensor.attention(q, k, v, m, 0.35)
+            want = dense_attention(q, k, v, m, 0.35)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (chunk, past, t)
+
+
+def test_attention_rejects_dead_rows_and_bad_masks():
+    from chunkmel import masks
+
+    q = rand((40, 4), seed=4)
+    perm = masks.build_static_mask(40, 4, 2).permitted.copy()
+    perm[37] = False
+    dead = masks.ChunkMask(perm, 4, 2, 40)
+    with pytest.raises(MaskError, match=r"\[37\]"):
+        tensor.attention(q, q, q, dead, 0.5)
+    with pytest.raises(ShapeError):
+        tensor.attention(q, q, q, masks.build_static_mask(39, 4, 2), 0.5)
+
+
+# ---------------------------------------------------------------------------
 # layer norm
 
 

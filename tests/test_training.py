@@ -37,6 +37,25 @@ class TestReproducibility:
         for name in na:
             assert na[name].tobytes() == nb[name].tobytes()
 
+    def test_short_run_matches_the_dense_attention_tape(self, monkeypatch):
+        """Training records attention as the dense T×T score composition;
+        a short seeded run ends on the same parameter bytes as one whose
+        attention is written out op by op."""
+        from chunkmel import autodiff
+
+        dec = tiny_dec(n_layers=2)
+        tc = training.TrainConfig(steps=4, seed=3, regime="dynamic", frames=40, batch_size=2)
+        got = decoder.weights_to_named(training.train(dec, tc).model)
+
+        def written_out(q, k, v, mask, inv):
+            scores = autodiff.scale(autodiff.matmul(q, autodiff.transpose(k)), inv)
+            return autodiff.matmul(autodiff.masked_softmax(scores, mask), v)
+
+        monkeypatch.setattr(autodiff, "attention", written_out)
+        want = decoder.weights_to_named(training.train(dec, tc).model)
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
     def test_zero_lr_freezes_params(self):
         dec = tiny_dec()
         tc = training.TrainConfig(steps=3, seed=0, lr=0.0, frames=18, batch_size=2)
