@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import struct
-from io import BytesIO
 from typing import BinaryIO
 
 import numpy as np
@@ -50,12 +49,6 @@ def _read_exact(f: BinaryIO, n: int, what: str) -> bytes:
     if len(data) != n:
         raise FormatError(f"truncated file while reading {what}")
     return data
-
-
-def _file_bytes(path: str) -> BytesIO:
-    """The whole file in memory: one read, and seeks that cost no system call."""
-    with open(path, "rb") as f:
-        return BytesIO(f.read())
 
 
 def _bytes_left(f: BinaryIO) -> int:
@@ -101,7 +94,7 @@ def save_tensor(path: str, arr: np.ndarray) -> None:
 
 
 def load_tensor(path: str) -> np.ndarray:
-    with _file_bytes(path) as f:
+    with open(path, "rb") as f:
         arr = read_tensor(f)
         if f.read(1):
             raise FormatError(f"{path}: trailing bytes after tensor payload")
@@ -122,7 +115,7 @@ def save_weights(path: str, config: dict, tensors: dict[str, np.ndarray]) -> Non
 
 
 def load_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
-    with _file_bytes(path) as f:
+    with open(path, "rb") as f:
         magic = _read_exact(f, 4, "CFPW magic")
         if magic != WEIGHTS_MAGIC:
             raise FormatError(f"{path}: bad weights magic {magic!r}")
@@ -155,7 +148,7 @@ def save_state(path: str, frame_offset: int, tensors: list[np.ndarray]) -> None:
 
 
 def load_state(path: str) -> tuple[int, list[np.ndarray]]:
-    with _file_bytes(path) as f:
+    with open(path, "rb") as f:
         magic = _read_exact(f, 4, "CFPS magic")
         if magic != STATE_MAGIC:
             raise FormatError(f"{path}: bad state magic {magic!r}")

@@ -15,9 +15,6 @@ run reproduces bit-for-bit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -248,29 +245,6 @@ def _sample_masks(
     return [masks.sample_dynamic_mask(t, train_cfg.policy, rng) for _ in range(batch)]
 
 
-def _sample_gradients(params, dec_cfg, features, targets, batch_masks, batch) -> list:
-    """(loss, gradient share) of each sample, each on its own tape.
-
-    A sample's share is the gradient of its MSE divided by `batch`, the
-    size of the whole batch the samples belong to. The backward seed is
-    the analytic dLoss/dprediction, so the scalar loss arithmetic stays
-    outside the tape.
-    """
-    out = []
-    for s in range(len(features)):
-        mask = batch_masks[s]
-
-        def program(ops, inputs, p):
-            return decoder.forward_named(ops, inputs, p, dec_cfg, mask)
-
-        pred, tape = autodiff.forward_record(program, features[s], params)
-        diff = pred - targets[s]
-        seed = (2.0 / (diff.size * batch)) * diff
-        grads = autodiff.backward(tape, seed.astype(pred.dtype))
-        out.append((float(np.mean(diff * diff)), grads))
-    return out
-
-
 def train_step(
     params: dict[str, np.ndarray],
     dec_cfg: decoder.DecoderConfig,
@@ -279,33 +253,28 @@ def train_step(
     targets: np.ndarray,
     batch_masks: list[masks.ChunkMask],
     opt: AdamState,
-    pool: Executor | None = None,
 ) -> tuple[float, dict[str, np.ndarray], AdamState, dict]:
     """One optimizer step on one batch; loss is MSE over frames and bins.
 
-    Each sample runs the masked parallel forward under its own mask. With
-    a `pool`, one of its workers takes the second half of the batch while
-    this process runs the first. Losses and gradients are summed in
-    sample order either way, so the step is bit-identical with or
-    without a pool.
+    Each sample runs the masked parallel forward under its own mask. The
+    backward seed is the analytic dLoss/dprediction, so the scalar loss
+    arithmetic stays outside the tape.
     """
     batch = features.shape[0]
-    half = batch // 2 if pool is not None else batch
-    rest = None
-    if half < batch:
-        rest = pool.submit(
-            _sample_gradients, params, dec_cfg, features[half:], targets[half:],
-            batch_masks[half:], batch,
-        )
-    per_sample = _sample_gradients(
-        params, dec_cfg, features[:half], targets[:half], batch_masks[:half], batch
-    )
-    if rest is not None:
-        per_sample += rest.result()
     total_loss = 0.0
     grand: dict[str, np.ndarray] | None = None
-    for sample_loss, grads in per_sample:
+    for s in range(batch):
+        mask = batch_masks[s]
+
+        def program(ops, inputs, p):
+            return decoder.forward_named(ops, inputs, p, dec_cfg, mask)
+
+        pred, tape = autodiff.forward_record(program, features[s], params)
+        diff = pred - targets[s]
+        sample_loss = float(np.mean(diff * diff))
         total_loss += sample_loss
+        seed = (2.0 / (diff.size * batch)) * diff
+        grads = autodiff.backward(tape, seed.astype(pred.dtype))
         if grand is None:
             grand = grads
         else:
@@ -320,24 +289,6 @@ def train_step(
     assert grand is not None
     new_params, new_opt, info = adam_update(params, grand, opt, train_cfg)
     return loss, new_params, new_opt, info
-
-
-def _step_pool(batch_size: int):
-    """One worker process for half of every batch, when there is a second
-    CPU to run it on; otherwise a context that yields no pool.
-
-    A process, not a thread: about 40% of a step is the tape's Python
-    bookkeeping, which holds the GIL. On a 2-core x86-64 VM, default
-    config, two threads ran a step at most 1.25x faster than one thread,
-    a worker process about 1.4x faster.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if batch_size < 2 or cpus < 2:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=1)
 
 
 @dataclass
@@ -356,9 +307,7 @@ def train(
     """Full training loop; returns the trained model and a per-step log.
 
     One generator seeded by train_cfg.seed drives init, data, and mask
-    draws, so a (config, seed) pair pins the whole run. A worker process
-    runs half of every batch when a second CPU is free; the run is
-    bit-identical without it.
+    draws, so a (config, seed) pair pins the whole run.
     """
     if task is None:
         task = make_task(dec_cfg.d_model, dec_cfg.mel_bins, seed=train_cfg.seed + 7919)
@@ -369,28 +318,27 @@ def train(
     log: list[dict] = []
     initial_loss = None
     loss = float("nan")
-    with _step_pool(train_cfg.batch_size) as pool:
-        for step in range(train_cfg.steps):
-            feats, targs = generate_batch(
-                task, train_cfg.frames, train_cfg.batch_size, rng, dtype=dec_cfg.dtype
-            )
-            batch_masks = _sample_masks(
-                train_cfg.frames, train_cfg.batch_size, train_cfg, dec_cfg, rng
-            )
-            loss, params, opt, info = train_step(
-                params, dec_cfg, train_cfg, feats, targs, batch_masks, opt, pool
-            )
-            if initial_loss is None:
-                initial_loss = loss
-            log.append(
-                {
-                    "step": step,
-                    "loss": loss,
-                    "grad_norm": info["grad_norm"],
-                    "clipped": info["clipped"],
-                    "masks": [[m.chunk_size, m.past_size] for m in batch_masks],
-                }
-            )
+    for step in range(train_cfg.steps):
+        feats, targs = generate_batch(
+            task, train_cfg.frames, train_cfg.batch_size, rng, dtype=dec_cfg.dtype
+        )
+        batch_masks = _sample_masks(
+            train_cfg.frames, train_cfg.batch_size, train_cfg, dec_cfg, rng
+        )
+        loss, params, opt, info = train_step(
+            params, dec_cfg, train_cfg, feats, targs, batch_masks, opt
+        )
+        if initial_loss is None:
+            initial_loss = loss
+        log.append(
+            {
+                "step": step,
+                "loss": loss,
+                "grad_norm": info["grad_norm"],
+                "clipped": info["clipped"],
+                "masks": [[m.chunk_size, m.past_size] for m in batch_masks],
+            }
+        )
     final_model = decoder.named_to_weights(dec_cfg, params)
     return TrainResult(
         model=final_model,
