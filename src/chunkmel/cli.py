@@ -36,8 +36,11 @@ def parse_run_config(doc: dict) -> tuple[decoder.DecoderConfig, training.TrainCo
     if unknown:
         raise ValueError(f"unknown run config keys: {sorted(unknown)}")
     dec = decoder.DecoderConfig.from_dict(doc.get("decoder", {}))
+    train_doc = doc.get("train", {})
+    if not isinstance(train_doc, dict):
+        raise ValueError(f"train config must be a JSON object, got {type(train_doc).__name__}")
     merged_train = training.TrainConfig().to_dict()
-    merged_train.update(doc.get("train", {}))
+    merged_train.update(train_doc)
     train_cfg = training.TrainConfig.from_dict(merged_train)
     return dec, train_cfg, int(doc.get("seed", 0))
 

@@ -14,6 +14,12 @@ step with no mask over its cache plus chunk, the parallel route with the
 chunk mask. Under a mask each block of queries is scored only against
 the keys it may see, so the parallel route costs O(T·window), not O(T²).
 
+The chunk step projects all heads' queries, keys and values with one
+product against the layer's packed `wqkv` and slices each head's
+columns; `tensor.causal_conv1d` computes all taps in one product. Both
+sum every output element exactly as the per-head and per-tap products
+of the parallel route do, so the routes stay bit-identical.
+
 Both routes compute every reduction in the same left-to-right order, and
 masked attention positions contribute exact zeros, so their outputs agree
 bit-for-bit up to the sign of zero ties. A blocked-out key never perturbs
@@ -28,7 +34,9 @@ zero-padded parallel convolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -115,33 +123,64 @@ class DecoderConfig:
         return np.dtype(DTYPES[self.dtype])
 
     def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_model": self.d_model,
-            "d_ff": self.d_ff,
-            "kernel1": self.kernel1,
-            "kernel2": self.kernel2,
-            "chunk_size": self.chunk_size,
-            "past_size": self.past_size,
-            "mel_bins": self.mel_bins,
-            "ln_eps": self.ln_eps,
-            "dtype": self.dtype,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecoderConfig":
-        known = set(cls().to_dict())
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        check_config_doc(cls, doc, "config")
         return cls(**doc)
+
+
+def _accepts(tp, value) -> bool:
+    """Whether a JSON value fits a field annotation. An int fits a float
+    field; a bool fits only a bool field; a list fits a tuple field."""
+    if tp is type(None):
+        return value is None
+    if tp in (int, float) and isinstance(value, bool):
+        return False
+    if tp is float:
+        return isinstance(value, (int, float))
+    origin = typing.get_origin(tp) or tp
+    if origin is tuple:
+        args = typing.get_args(tp)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if not args or Ellipsis in args:
+            return True
+        return len(value) == len(args) and all(map(_accepts, args, value))
+    return isinstance(value, origin)
+
+
+def check_config_doc(cls, doc: dict, what: str) -> None:
+    """Reject a config document with unknown keys or mistyped values.
+
+    `cls` is a config dataclass; its field annotations give the accepted
+    types. Raises ValueError, which the CLI and `load_model` report as a
+    format error (exit 3).
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    hints = typing.get_type_hints(cls)
+    unknown = set(doc) - set(hints)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        tp = hints[name]
+        union = typing.get_origin(tp) in (typing.Union, types.UnionType)
+        allowed = typing.get_args(tp) if union else (tp,)
+        if not any(_accepts(a, value) for a in allowed):
+            raise ValueError(f"{what} field {name!r}: {value!r} is not of type {tp}")
 
 
 @dataclass
 class LayerWeights:
     """One FFT block: per-head attention projections, the output
-    projection, two causal convs, and two layer-norm parameter pairs."""
+    projection, two causal convs, and two layer-norm parameter pairs.
+
+    `wqkv` packs every head's query, key and value projection side by
+    side, [wq_0 .. wq_h-1 | wk_0 .. | wv_0 ..], once when the layer is
+    built, so the chunk step projects all heads in one product.
+    """
 
     wq: list[np.ndarray]
     wk: list[np.ndarray]
@@ -155,6 +194,20 @@ class LayerWeights:
     ln1_beta: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
+    wqkv: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.wqkv = np.concatenate([*self.wq, *self.wk, *self.wv], axis=1)
+
+
+# Per-layer tensors: one per head for each of HEAD_TENSORS, one each of
+# LAYER_TENSORS. Named map keys are "layers.{l}.{name}.{head}" and
+# "layers.{l}.{name}", in this order, then "proj_w" and "proj_b".
+HEAD_TENSORS = ("wq", "wk", "wv")
+LAYER_TENSORS = (
+    "wo", "conv1_w", "conv1_b", "conv2_w", "conv2_b",
+    "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
+)
 
 
 @dataclass
@@ -210,24 +263,27 @@ def init_weights(config: DecoderConfig, seed: int) -> ModelWeights:
     return ModelWeights(config=config, layers=layers, proj_w=proj_w, proj_b=proj_b)
 
 
+def weight_names(config: DecoderConfig) -> list[str]:
+    """The dotted names of every weight tensor of a model with `config`."""
+    names = []
+    for l in range(config.n_layers):
+        pref = f"layers.{l}."
+        for i in range(config.n_heads):
+            names += [f"{pref}{t}.{i}" for t in HEAD_TENSORS]
+        names += [pref + t for t in LAYER_TENSORS]
+    return names + ["proj_w", "proj_b"]
+
+
 def weights_to_named(model: ModelWeights) -> dict[str, np.ndarray]:
     """Flatten weights to a name -> tensor map (stable dotted names)."""
     named: dict[str, np.ndarray] = {}
     for l, lw in enumerate(model.layers):
         pref = f"layers.{l}."
         for i in range(model.config.n_heads):
-            named[pref + f"wq.{i}"] = lw.wq[i]
-            named[pref + f"wk.{i}"] = lw.wk[i]
-            named[pref + f"wv.{i}"] = lw.wv[i]
-        named[pref + "wo"] = lw.wo
-        named[pref + "conv1_w"] = lw.conv1_w
-        named[pref + "conv1_b"] = lw.conv1_b
-        named[pref + "conv2_w"] = lw.conv2_w
-        named[pref + "conv2_b"] = lw.conv2_b
-        named[pref + "ln1_gamma"] = lw.ln1_gamma
-        named[pref + "ln1_beta"] = lw.ln1_beta
-        named[pref + "ln2_gamma"] = lw.ln2_gamma
-        named[pref + "ln2_beta"] = lw.ln2_beta
+            for t in HEAD_TENSORS:
+                named[f"{pref}{t}.{i}"] = getattr(lw, t)[i]
+        for t in LAYER_TENSORS:
+            named[pref + t] = getattr(lw, t)
     named["proj_w"] = model.proj_w
     named["proj_b"] = model.proj_b
     return named
@@ -235,26 +291,9 @@ def weights_to_named(model: ModelWeights) -> dict[str, np.ndarray]:
 
 def named_to_weights(config: DecoderConfig, named: dict[str, np.ndarray]) -> ModelWeights:
     """Rebuild structured weights from a flat name map, checking coverage."""
-    template = weights_to_named(
-        ModelWeights(
-            config=config,
-            layers=[
-                LayerWeights(
-                    wq=[None] * config.n_heads,  # type: ignore[list-item]
-                    wk=[None] * config.n_heads,  # type: ignore[list-item]
-                    wv=[None] * config.n_heads,  # type: ignore[list-item]
-                    wo=None,  # type: ignore[arg-type]
-                    conv1_w=None, conv1_b=None, conv2_w=None, conv2_b=None,  # type: ignore[arg-type]
-                    ln1_gamma=None, ln1_beta=None, ln2_gamma=None, ln2_beta=None,  # type: ignore[arg-type]
-                )
-                for _ in range(config.n_layers)
-            ],
-            proj_w=None,  # type: ignore[arg-type]
-            proj_b=None,  # type: ignore[arg-type]
-        )
-    )
-    missing = set(template) - set(named)
-    extra = set(named) - set(template)
+    expected = set(weight_names(config))
+    missing = expected - set(named)
+    extra = set(named) - expected
     if missing or extra:
         raise ValueError(
             f"weight name mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
@@ -262,22 +301,8 @@ def named_to_weights(config: DecoderConfig, named: dict[str, np.ndarray]) -> Mod
     layers = []
     for l in range(config.n_layers):
         pref = f"layers.{l}."
-        layers.append(
-            LayerWeights(
-                wq=[named[pref + f"wq.{i}"] for i in range(config.n_heads)],
-                wk=[named[pref + f"wk.{i}"] for i in range(config.n_heads)],
-                wv=[named[pref + f"wv.{i}"] for i in range(config.n_heads)],
-                wo=named[pref + "wo"],
-                conv1_w=named[pref + "conv1_w"],
-                conv1_b=named[pref + "conv1_b"],
-                conv2_w=named[pref + "conv2_w"],
-                conv2_b=named[pref + "conv2_b"],
-                ln1_gamma=named[pref + "ln1_gamma"],
-                ln1_beta=named[pref + "ln1_beta"],
-                ln2_gamma=named[pref + "ln2_gamma"],
-                ln2_beta=named[pref + "ln2_beta"],
-            )
-        )
+        heads = {t: [named[f"{pref}{t}.{i}"] for i in range(config.n_heads)] for t in HEAD_TENSORS}
+        layers.append(LayerWeights(**heads, **{t: named[pref + t] for t in LAYER_TENSORS}))
     return ModelWeights(
         config=config, layers=layers, proj_w=named["proj_w"], proj_b=named["proj_b"]
     )
@@ -289,9 +314,8 @@ def save_model(path: str, model: ModelWeights) -> None:
 
 def load_model(path: str) -> ModelWeights:
     doc, named = io.load_weights(path)
-    config = DecoderConfig.from_dict(doc)
     try:
-        return named_to_weights(config, named)
+        return named_to_weights(DecoderConfig.from_dict(doc), named)
     except ValueError as e:
         raise io.FormatError(f"{path}: {e}") from e
 
@@ -438,20 +462,24 @@ def mha_chunk_step(
 ) -> tuple[np.ndarray, AttentionState]:
     """Multi-head attention over one chunk plus the cached past.
 
-    Per head: keys/values of the chunk are appended to the cache, every
-    query attends the whole concatenation (no intra-chunk mask), and the
-    new cache is the trailing past_size rows. Scores scale by
-    1/sqrt(d_head).
+    One product projects the chunk onto every head's query, key and value
+    (`w.wqkv`); each head takes its columns of it. Per head: keys/values
+    of the chunk are appended to the cache, every query attends the whole
+    concatenation (no intra-chunk mask), and the new cache is the
+    trailing past_size rows. Scores scale by 1/sqrt(d_head).
     """
     if x.ndim != 2 or x.shape[1] != config.d_model:
         raise ShapeError(f"mha_chunk_step: chunk shape {x.shape} != (*, {config.d_model})")
     inv = 1.0 / math.sqrt(config.d_head)
+    d, dh = config.d_model, config.d_head
+    qkv = tensor.matmul(x, w.wqkv)
     heads = []
     new_pk, new_pv = [], []
     for i in range(config.n_heads):
-        q = tensor.matmul(x, w.wq[i])
-        k_cat = tensor.concat_time(st.pk[i], tensor.matmul(x, w.wk[i]))
-        v_cat = tensor.concat_time(st.pv[i], tensor.matmul(x, w.wv[i]))
+        c = i * dh
+        q = qkv[:, c : c + dh]
+        k_cat = tensor.concat_time(st.pk[i], qkv[:, d + c : d + c + dh])
+        v_cat = tensor.concat_time(st.pv[i], qkv[:, 2 * d + c : 2 * d + c + dh])
         heads.append(tensor.attention(q, k_cat, v_cat, None, inv))
         keep = len(k_cat) if config.past_size == ALL else config.past_size
         new_pk.append(tensor.tail_slice(k_cat, keep))

@@ -42,7 +42,9 @@ def sum_ordered(x: np.ndarray, axis: int = -1) -> np.ndarray:
         shape[axis] = 1
         return np.zeros(shape, dtype=x.dtype)
     acc = np.add.accumulate(x, axis=axis)
-    return np.take(acc, [-1], axis=axis)
+    last = [slice(None)] * acc.ndim
+    last[axis] = slice(-1, None)
+    return acc[tuple(last)]
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,6 +55,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.einsum without the optimize flag accumulates the contracted axis
     sequentially (no BLAS dispatch, no pairwise blocking), which the test
     suite pins against an explicit triple-loop reference.
+
+    The guarantee covers C-contiguous operands and basic-slice views of
+    them (row ranges, column ranges such as one head's columns of a fused
+    projection): each element then sums the same products in the same
+    order as the product of the contiguous copies. It does not cover
+    transposed views (`w.T`), for which einsum may pick another inner
+    loop; a (96×32)·(32×64) product with a transposed right operand came
+    out up to 8.9e-15 off the loop reference. Pass `transpose(w)`, a
+    contiguous copy, where exact order matters.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
@@ -90,7 +101,7 @@ def masked_softmax(logits: np.ndarray, mask=None) -> np.ndarray:
         x = np.where(perm, x, x.dtype.type(-np.inf))
     elif x.shape[-1] == 0:
         raise MaskError("masked_softmax: zero keys and no mask")
-    rowmax = np.max(x, axis=-1, keepdims=True)
+    rowmax = np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(x - rowmax)
     denom = sum_ordered(e, axis=-1)
     return e / denom
@@ -146,9 +157,11 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     _check_same_dtype(x, gamma, "layer_norm")
-    mu = np.mean(x, axis=1, keepdims=True)
+    # np.add.reduce over d is what np.mean sums before its divide, minus
+    # np.mean's wrapper overhead.
+    mu = np.add.reduce(x, axis=1, keepdims=True) / d
     xc = x - mu
-    var = np.mean(xc * xc, axis=1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
     xhat = xc / np.sqrt(var + x.dtype.type(eps))
     return gamma * xhat + beta
 
@@ -161,6 +174,11 @@ def causal_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     start). Output frame t is b + w[0]^T x[t] + ... + w[k-1]^T x[t+k-1],
     taps accumulated in kernel order, so frame t of the output depends only
     on input rows t..t+k-1. No padding happens inside this op.
+
+    All k taps come from one product: x against the taps packed side by
+    side, (d_in, k·d_out). Tap j's term for frame t is row t+j of that
+    product in column block j, the same dot product a per-tap product
+    gives, and the blocks are added to the bias in tap order.
     """
     if x.ndim != 2 or w.ndim != 3:
         raise ShapeError(f"causal_conv1d: expected x 2-D and w 3-D, got {x.shape} and {w.shape}")
@@ -173,10 +191,11 @@ def causal_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ShapeError(f"causal_conv1d: time length {x.shape[0]} shorter than kernel {k}")
     _check_same_dtype(x, w, "causal_conv1d")
     t_out = x.shape[0] - k + 1
+    taps = matmul(x, np.concatenate(w, axis=1))
     out = np.empty((t_out, d_out), dtype=x.dtype)
     out[:] = b
     for j in range(k):
-        np.add(out, matmul(x[j : j + t_out], w[j]), out=out)
+        np.add(out, taps[j : j + t_out, j * d_out : (j + 1) * d_out], out=out)
     return out
 
 

@@ -162,15 +162,11 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
         doc = dict(doc)
-        known = set(cls().to_dict())
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        if "policy" in doc and doc["policy"] is not None:
-            p = dict(doc["policy"])
-            unknown_p = set(p) - {"chunk_range", "past_multipliers", "seed"}
-            if unknown_p:
-                raise ValueError(f"unknown policy keys: {sorted(unknown_p)}")
+        policy = doc.pop("policy", None)
+        decoder.check_config_doc(cls, doc, "train config")
+        if policy is not None:
+            decoder.check_config_doc(masks.DynamicMaskPolicy, policy, "policy")
+            p = dict(policy)
             if "chunk_range" in p:
                 p["chunk_range"] = tuple(p["chunk_range"])
             if "past_multipliers" in p:

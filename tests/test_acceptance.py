@@ -175,6 +175,7 @@ def test_gradients_every_primitive_and_full_block_pass_finite_difference():
     assert rep["pass"], (rep["worst_param"], rep["worst_rel_err"])
 
 
+@pytest.mark.slow
 def test_training_reaches_tenth_of_initial_loss_on_three_seeds():
     """2000 optimizer steps on the default task cut the loss to at most
     10% of its starting value for every seed, within ten minutes."""
@@ -192,6 +193,7 @@ def test_training_reaches_tenth_of_initial_loss_on_three_seeds():
         assert ratio <= 0.10, f"seed {seed}: final/initial = {ratio:.4f}"
 
 
+@pytest.mark.slow
 def test_mask_study_matched_config_beats_grossly_mismatched_majority():
     """The regime-by-inference table has its canonical shape, and for
     each contested regime (past-size gap of 85+ frames available) the

@@ -106,6 +106,16 @@ class TestConfigHandling:
         p.write_text("{not json")
         assert cli.cli_dispatch(["ablate", "--config", str(p), "--mode", "drop_kv"]) == 3
 
+    @pytest.mark.parametrize(
+        "sections",
+        [{"decoder_doc": TINY_DECODER | {"n_layers": "2"}}, {"train": {"lr": "x"}},
+         {"decoder_doc": TINY_DECODER | {"chunk_size": 2.5}}],
+    )
+    def test_mistyped_field_is_format_error(self, tmp_path, capsys, sections):
+        cfg = write_config(tmp_path, **sections)
+        assert cli.cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "m.cfpw")]) == 3
+        assert "is not of type" in capsys.readouterr().err
+
     def test_no_command_is_usage_error(self, capsys):
         assert cli.cli_dispatch([]) == 2
 
@@ -219,6 +229,19 @@ class TestSynthCommand:
         )
         assert code == 3
         assert "more than past_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk_size", ["30", 0])
+    def test_bad_model_header_is_format_error(self, tmp_path, capsys, chunk_size):
+        model_path, cfg = tiny_model_file(tmp_path)
+        header = cfg.to_dict() | {"chunk_size": chunk_size}
+        _, named = io.load_weights(model_path)
+        io.save_weights(model_path, header, named)
+        code = cli.cli_dispatch(
+            ["synth", "--model", model_path, "--features", self.make_features(tmp_path, cfg),
+             "--out", str(tmp_path / "o.ctn")]
+        )
+        assert code == 3
+        assert "chunk_size" in capsys.readouterr().err
 
     def test_missing_model_is_io_error(self, tmp_path, capsys):
         feats_path = str(tmp_path / "f.ctn")

@@ -194,6 +194,24 @@ class TestStateFiles:
         for name in a:
             assert a[name].tobytes() == b[name].tobytes()
 
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    def test_loaded_model_decodes_like_the_initialised_one(self, tmp_path, dtype):
+        # the fused projection is packed from the arrays read from the file
+        cfg = tiny_cfg(dtype=dtype, n_heads=4)
+        model = decoder.init_weights(cfg, seed=14)
+        path = str(tmp_path / "m.cfpw")
+        decoder.save_model(path, model)
+        loaded = decoder.load_model(path)
+        feats = make_inputs(cfg, 23, seed=15)
+        sa, sb = decoder.init_state(cfg), decoder.init_state(cfg)
+        for start in range(0, len(feats), cfg.chunk_size):
+            chunk = feats[start : start + cfg.chunk_size]
+            ya, sa = decoder.decode_chunk(chunk, model, sa)
+            yb, sb = decoder.decode_chunk(chunk, loaded, sb)
+            assert ya.tobytes() == yb.tobytes()
+            for a, b in zip(decoder.state_tensor_list(sa), decoder.state_tensor_list(sb)):
+                assert a.tobytes() == b.tobytes()
+
     def test_state_validation_errors(self, tmp_path):
         cfg = tiny_cfg()
         model = decoder.init_weights(cfg, seed=14)
@@ -251,6 +269,7 @@ class TestStateFiles:
         cfg = tiny_cfg()
         model = decoder.init_weights(cfg, seed=16)
         named = decoder.weights_to_named(model)
+        assert list(named) == decoder.weight_names(cfg)
         back = decoder.named_to_weights(cfg, named)
         assert np.array_equal(back.proj_w, model.proj_w)
         assert np.array_equal(back.layers[1].wk[0], model.layers[1].wk[0])
@@ -293,6 +312,13 @@ class TestPositionalEncoding:
 
 
 class TestBlockUnits:
+    def test_fused_projection_packs_heads_side_by_side(self):
+        cfg = tiny_cfg(n_heads=2)
+        w = decoder.init_weights(cfg, seed=19).layers[0]
+        parts = np.split(w.wqkv, 3 * cfg.n_heads, axis=1)
+        for got, want in zip(parts, w.wq + w.wk + w.wv):
+            assert np.array_equal(got, want)
+
     def test_single_chunk_zero_past_is_plain_attention(self):
         cfg = tiny_cfg(past_size=0, n_heads=2)
         w = decoder.init_weights(cfg, seed=20).layers[0]
@@ -435,6 +461,19 @@ class TestConfig:
         bad = cfg.to_dict() | {"dropout": 0.1}
         with pytest.raises(ValueError):
             decoder.DecoderConfig.from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_layers", "2"), ("chunk_size", 2.5), ("chunk_size", True), ("past_size", 1.5),
+         ("ln_eps", "1e-5"), ("dtype", 64)],
+    )
+    def test_from_dict_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            decoder.DecoderConfig.from_dict({field: value})
+
+    def test_from_dict_takes_ints_for_floats_and_all_for_past(self):
+        cfg = decoder.DecoderConfig.from_dict({"ln_eps": 1, "past_size": masks.ALL})
+        assert cfg.ln_eps == 1 and cfg.past_size == masks.ALL
 
     def test_shape_errors(self):
         cfg = tiny_cfg()

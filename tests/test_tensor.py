@@ -45,6 +45,24 @@ def test_matmul_exact_on_transposed_views(dtype):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t", [1, 30, 1000])
+def test_matmul_exact_on_column_slice_views(dtype, t):
+    # the chunk step takes each head's q, k and v as columns of one fused
+    # projection; a column-slice view must multiply like its contiguous copy
+    fused = rand((t, 96), dtype, seed=t)
+    right = rand((16, 45), dtype, seed=t + 1)
+    for c in range(0, 96, 16):
+        view = fused[:, c : c + 16]
+        got = tensor.matmul(view, right)
+        assert np.array_equal(got, tensor.matmul(np.ascontiguousarray(view), right))
+    w = rand((32, 96), dtype, seed=t + 2)
+    x = rand((t, 32), dtype, seed=t + 3)
+    whole = tensor.matmul(x, w)
+    for c in range(0, 96, 16):
+        assert np.array_equal(whole[:, c : c + 16], tensor.matmul(x, w[:, c : c + 16].copy()))
+
+
 def test_matmul_empty_inner_axis_is_zeros():
     out = tensor.matmul(np.empty((3, 0)), np.empty((0, 4)))
     assert out.shape == (3, 4)
@@ -225,6 +243,33 @@ def test_layer_norm_is_per_frame():
     assert np.array_equal(full[:3], half)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_and_softmax_match_the_numpy_wrapper_composition(dtype):
+    # the kernels call the reductions directly; the bits must be those of
+    # the np.mean / np.max / np.take composition they replace
+    def layer_norm_mean(x, gamma, beta, eps):
+        mu = np.mean(x, axis=1, keepdims=True)
+        xc = x - mu
+        var = np.mean(xc * xc, axis=1, keepdims=True)
+        return gamma * (xc / np.sqrt(var + x.dtype.type(eps))) + beta
+
+    def softmax_take(x, permitted):
+        if permitted is not None:
+            x = np.where(permitted, x, x.dtype.type(-np.inf))
+        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        return e / np.take(np.add.accumulate(e, axis=-1), [-1], axis=-1)
+
+    for t, d in [(1, 8), (30, 32), (45, 33), (1000, 80)]:
+        x = 3 * rand((t, d), dtype, seed=t + d) + 1
+        gamma, beta = rand(d, dtype, seed=d + 1), rand(d, dtype, seed=d + 2)
+        got = tensor.layer_norm(x, gamma, beta, 1e-5)
+        assert got.tobytes() == layer_norm_mean(x, gamma, beta, 1e-5).tobytes()
+        permitted = np.random.default_rng(t).random((t, d)) < 0.6
+        permitted[:, 0] = True
+        for perm in (None, permitted):
+            assert tensor.masked_softmax(x, perm).tobytes() == softmax_take(x, perm).tobytes()
+
+
 def test_layer_norm_rejects_bad_shapes():
     with pytest.raises(ShapeError):
         tensor.layer_norm(np.zeros((2, 3)), np.ones(4), np.zeros(3))
@@ -236,8 +281,19 @@ def test_layer_norm_rejects_bad_shapes():
 # causal convolution
 
 
+def conv_per_tap(x, w, b):
+    """The convolution as one product per tap, added to the bias in tap order."""
+    k, _, d_out = w.shape
+    t_out = len(x) - k + 1
+    out = np.empty((t_out, d_out), dtype=x.dtype)
+    out[:] = b
+    for j in range(k):
+        out = out + tensor.matmul(x[j : j + t_out], w[j])
+    return out
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("k", [1, 2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_conv_matches_sliding_window_exactly(dtype, k):
     t, d_in, d_out = 9, 6, 4
     x = rand((t + k - 1, d_in), dtype, seed=k)
@@ -246,6 +302,12 @@ def test_conv_matches_sliding_window_exactly(dtype, k):
     got = tensor.causal_conv1d(x, w, b)
     assert got.shape == (t, d_out)
     assert np.array_equal(got, reference.conv_loops(x, w, b))
+    # longer inputs at the decoder's widths, against one product per tap
+    for t, d_in, d_out in [(1, 32, 64), (30, 64, 32), (1000, 32, 64)]:
+        x = rand((t + k - 1, d_in), dtype, seed=t + k)
+        w = rand((k, d_in, d_out), dtype, seed=t + k + 50)
+        b = rand(d_out, dtype, seed=t + k + 99)
+        assert tensor.causal_conv1d(x, w, b).tobytes() == conv_per_tap(x, w, b).tobytes()
 
 
 def test_conv_kernel1_equals_pointwise_projection():
