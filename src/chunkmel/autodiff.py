@@ -5,7 +5,12 @@ same name, so a program written against an `ops` namespace runs unchanged
 in two modes: `program(tensor, ...)` computes plain values, while
 `forward_record(program, ...)` runs it here and records a tape for
 `backward`. Recorded forward values are computed by the `tensor`
-functions themselves, so recording is bit-transparent.
+functions themselves, so recording is bit-transparent: the forward is
+exact. The backward is not held to that order. The matmul and
+convolution vjps multiply with NumPy `@`, which dispatches to BLAS, so
+gradients are reproducible on one machine and BLAS build but may differ
+in the last bits from the left-to-right loop products, and across
+machines.
 
 ReLU's gradient at exactly zero is defined as zero. Finite-difference
 checks must therefore sample inputs away from the kink.
@@ -84,7 +89,7 @@ def matmul(a, b) -> Node:
     out = tensor.matmul(an.value, bn.value)
 
     def vjp(g):
-        return tensor.matmul(g, bn.value.T), tensor.matmul(an.value.T, g)
+        return g @ bn.value.T, an.value.T @ g
 
     return Node(out, "matmul", (an, bn), vjp)
 
@@ -159,8 +164,8 @@ def causal_conv1d(x, w, b) -> Node:
         dx = np.zeros_like(xn.value)
         dw = np.zeros_like(wn.value)
         for j in range(k):
-            dx[j : j + t_out] += tensor.matmul(g, wn.value[j].T)
-            dw[j] = tensor.matmul(xn.value[j : j + t_out].T, g)
+            dx[j : j + t_out] += g @ wn.value[j].T
+            dw[j] = xn.value[j : j + t_out].T @ g
         return dx, dw, np.sum(g, axis=0)
 
     return Node(out, "causal_conv1d", (xn, wn, bn), vjp)

@@ -124,24 +124,28 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, inv: float) -> 
     O(T·window) rather than O(T²). Keys outside a block's span have weight
     exactly zero in the dense masked softmax, and `masked_softmax` and
     `matmul` sum left to right, so the result is bit-identical to masking
-    the dense T×T score matrix.
+    the dense T×T score matrix. Each query row is checked for a permitted
+    key once, by `masked_softmax` on its block; a fully masked row raises
+    `MaskError` naming every such row of the mask.
     """
     if mask is None:
         return matmul(masked_softmax(scale(matmul(q, transpose(k)), inv), None), v)
     perm = mask.permitted
     if perm.shape != (len(q), len(k)):
         raise ShapeError(f"attention: mask {perm.shape} does not cover {len(q)} queries x {len(k)} keys")
-    dead = ~perm.any(axis=1)
-    if dead.any():
-        raise MaskError(f"attention: fully masked query rows {np.flatnonzero(dead).tolist()}")
     rows = mask.chunk_size * -(-ATTENTION_BLOCK_ROWS // mask.chunk_size)
     blocks = []
     for r0 in range(0, len(q), rows):
         sub = perm[r0 : r0 + rows]
         seen = np.flatnonzero(sub.any(axis=0))
-        c0, c1 = int(seen[0]), int(seen[-1]) + 1
+        c0, c1 = (int(seen[0]), int(seen[-1]) + 1) if len(seen) else (0, 0)
         scores = scale(matmul(q[r0 : r0 + rows], transpose(k[c0:c1])), inv)
-        blocks.append(matmul(masked_softmax(scores, sub[:, c0:c1]), v[c0:c1]))
+        try:
+            probs = masked_softmax(scores, sub[:, c0:c1])
+        except MaskError:
+            dead = np.flatnonzero(~perm.any(axis=1)).tolist()
+            raise MaskError(f"attention: fully masked query rows {dead}") from None
+        blocks.append(matmul(probs, v[c0:c1]))
     return np.concatenate(blocks, axis=0)
 
 

@@ -8,14 +8,17 @@ difficulty. Targets are scaled into [-4, 4].
 
 Training runs the parallel masked forward under either a fixed (static)
 mask or a per-sample random (dynamic) mask, with Adam, coupled L2 weight
-decay, and global-norm gradient clipping. Everything is seeded; an f64
-run reproduces bit-for-bit.
+decay, and global-norm gradient clipping. Everything is seeded; a run
+reproduces bit for bit on the same machine and BLAS build, with one BLAS
+thread or two. It is not promised to across machines: the backward
+products run on BLAS, and an OpenBLAS built with DYNAMIC_ARCH picks its
+kernels for the processor it runs on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -138,26 +141,7 @@ class TrainConfig:
             raise ValueError(f"regime must be static or dynamic, got {self.regime!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "weight_decay": self.weight_decay,
-            "batch_size": self.batch_size,
-            "clip_norm": self.clip_norm,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "steps": self.steps,
-            "seed": self.seed,
-            "regime": self.regime,
-            "static_chunk": self.static_chunk,
-            "static_past": self.static_past,
-            "policy": {
-                "chunk_range": list(self.policy.chunk_range),
-                "past_multipliers": list(self.policy.past_multipliers),
-                "seed": self.policy.seed,
-            },
-            "frames": self.frames,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":

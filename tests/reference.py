@@ -80,6 +80,32 @@ def conv_loops(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv_vjp_loops(x: np.ndarray, w: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Input and kernel gradients of `conv_loops` for output gradient `g`.
+
+    dx[t+j, i] sums g[t, o]·w[j, i, o] over taps j and outputs o;
+    dw[j, i, o] sums x[t+j, i]·g[t, o] over frames t, each left to right.
+    """
+    k, d_in, d_out = w.shape
+    t_out = g.shape[0]
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    for j in range(k):
+        for t in range(t_out):
+            for i in range(d_in):
+                s = x.dtype.type(0)
+                for o in range(d_out):
+                    s = s + g[t, o] * w[j, i, o]
+                dx[t + j, i] = dx[t + j, i] + s
+        for i in range(d_in):
+            for o in range(d_out):
+                s = x.dtype.type(0)
+                for t in range(t_out):
+                    s = s + x[t + j, i] * g[t, o]
+                dw[j, i, o] = s
+    return dx, dw
+
+
 def posenc_mp(offset: int, length: int, d_model: int) -> np.ndarray:
     """Sinusoidal positional rows in 60-digit arithmetic."""
     out = np.zeros((length, d_model), dtype=np.float64)

@@ -10,6 +10,7 @@ allowed to disagree.
 import numpy as np
 import pytest
 
+import reference
 from chunkmel import autodiff, tensor
 from chunkmel.tensor import ShapeError
 
@@ -220,6 +221,64 @@ def test_node_repr_and_metadata():
     assert n.dtype == np.float64
     assert len(n) == 2
     assert "matmul" in repr(n)
+
+
+# ---------------------------------------------------------------------------
+# the forward runs on tensor.matmul, the backward products on BLAS
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_matmul_vjp_matches_loop_products(dtype, tol):
+    a = rand((30, 32), 50).astype(dtype)
+    b = rand((32, 48), 51).astype(dtype)
+    g = rand((30, 48), 52).astype(dtype)
+    da, db = autodiff.matmul(a, b).vjp(g)
+    assert da.dtype == db.dtype == dtype
+    assert rel_err(da, reference.matmul_loops(g, np.ascontiguousarray(b.T))) <= tol
+    assert rel_err(db, reference.matmul_loops(np.ascontiguousarray(a.T), g)) <= tol
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_causal_conv_vjp_matches_loop_products(dtype, tol, k):
+    x = rand((20 + k - 1, 8), 53 + k).astype(dtype)
+    w = rand((k, 8, 12), 54 + k).astype(dtype)
+    b = rand(12, 55 + k).astype(dtype)
+    g = rand((20, 12), 56 + k).astype(dtype)
+    dx, dw, db = autodiff.causal_conv1d(x, w, b).vjp(g)
+    want_dx, want_dw = reference.conv_vjp_loops(x, w, g)
+    assert dx.dtype == dw.dtype == dtype
+    assert rel_err(dx, want_dx) <= tol
+    assert rel_err(dw, want_dw) <= tol
+    assert np.array_equal(db, np.sum(g, axis=0))
+
+
+def test_backward_makes_no_tensor_matmul_calls(monkeypatch):
+    from chunkmel import decoder, masks
+
+    cfg = decoder.DecoderConfig(
+        n_layers=2, n_heads=3, d_model=12, d_ff=16, chunk_size=4, past_size=3, mel_bins=5
+    )
+    params = decoder.weights_to_named(decoder.init_weights(cfg, seed=3))
+    mask = masks.build_static_mask(20, 4, 3)
+    calls = []
+    real = tensor.matmul
+    monkeypatch.setattr(tensor, "matmul", lambda a, b: calls.append(1) or real(a, b))
+    _, tape = autodiff.forward_record(
+        lambda ops, x, p: decoder.forward_named(ops, x, p, cfg, mask), rand((20, 12), 57), params
+    )
+    # per layer: q, k, v and the two dense attention products of each
+    # head, the output projection and one product per conv; then the Mel
+    # projection
+    assert len(calls) == cfg.n_layers * (5 * cfg.n_heads + 3) + 1
+    calls.clear()
+    grads = autodiff.backward(tape)
+    assert calls == []
+    assert set(grads) == set(params)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,10 @@ def test_matmul_matches_triple_loop_exactly(dtype, m, k, n):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_matmul_exact_on_transposed_views(dtype):
-    # backward passes feed .T views straight in; order must not change
+    # transposed views of both operands at a small shape, where einsum's
+    # inner loop agrees with the contiguous copies; the docstring leaves
+    # transposed views in general outside the exact-order guarantee, and
+    # no package code passes them (the autodiff backward uses BLAS `@`)
     a = rand((12, 9), dtype, seed=3)
     b = rand((17, 12), dtype, seed=4)
     got = tensor.matmul(a.T, b.T)
@@ -205,6 +208,11 @@ def test_attention_rejects_dead_rows_and_bad_masks():
     dead = masks.ChunkMask(perm, 4, 2, 40)
     with pytest.raises(MaskError, match=r"\[37\]"):
         tensor.attention(q, q, q, dead, 0.5)
+    # a fully masked block of query rows has no key span at all
+    block = perm.copy()
+    block[32:40] = False
+    with pytest.raises(MaskError, match=r"\[32, 33, 34, 35, 36, 37, 38, 39\]"):
+        tensor.attention(q, q, q, masks.ChunkMask(block, 4, 2, 40), 0.5)
     with pytest.raises(ShapeError):
         tensor.attention(q, q, q, masks.build_static_mask(39, 4, 2), 0.5)
 

@@ -1,6 +1,10 @@
 """Trainer: reproducibility, optimizer bookkeeping, task generation,
 regimes, and the mask study plumbing."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -56,6 +60,34 @@ class TestReproducibility:
         want = decoder.weights_to_named(training.train(dec, tc).model)
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_run_is_independent_of_blas_thread_count(self):
+        """The backward products run on BLAS: a seeded static and dynamic
+        run end on the same parameter bytes with one BLAS thread as with
+        two."""
+        script = (
+            "import hashlib\n"
+            "from chunkmel import decoder, training\n"
+            "h = hashlib.sha256()\n"
+            "for regime in ('static', 'dynamic'):\n"
+            "    tc = training.TrainConfig(steps=3, seed=4, regime=regime)\n"
+            "    res = training.train(decoder.DecoderConfig(), tc)\n"
+            "    named = decoder.weights_to_named(res.model)\n"
+            "    for name in sorted(named):\n"
+            "        h.update(named[name].tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = os.path.dirname(os.path.dirname(decoder.__file__))
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, timeout=300, check=True,
+            )
+            digests.append(run.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
 
     def test_zero_lr_freezes_params(self):
         dec = tiny_dec()
