@@ -18,6 +18,7 @@ checks must therefore sample inputs away from the kink.
 
 from __future__ import annotations
 
+import contextvars
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -28,11 +29,19 @@ from . import tensor
 from .tensor import ShapeError
 
 
+# The node list of the recording in progress, if any. Every node is
+# created after its parents, so creation order is a topological order.
+_recording: contextvars.ContextVar[list | None] = contextvars.ContextVar(
+    "autodiff_recording", default=None
+)
+
+
 class Node:
     """One recorded value: the result of an op applied to parent nodes.
 
     `vjp` maps the gradient at this node to a tuple of gradients, one per
-    parent, in parent order. Leaves have no parents and no vjp.
+    parent, in parent order. Leaves have no parents and no vjp. A node
+    created while `forward_record` runs joins that recording's node list.
     """
 
     __slots__ = ("value", "op", "parents", "vjp")
@@ -48,6 +57,9 @@ class Node:
         self.op = op
         self.parents = parents
         self.vjp = vjp
+        nodes = _recording.get()
+        if nodes is not None:
+            nodes.append(self)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -67,7 +79,8 @@ class Node:
 @dataclass
 class Tape:
     """A completed recording: the output node, all nodes in topological
-    order (parents before children), and the named parameter leaves."""
+    order (parents before children), and the named parameter leaves.
+    Nodes the output does not depend on get no gradient."""
 
     output: Node
     nodes: list[Node]
@@ -198,6 +211,18 @@ def concat_feat(parts) -> Node:
     return Node(out, "concat_feat", nodes, vjp)
 
 
+def feat_slice(x, c0: int, c1: int) -> Node:
+    xn = _lift(x)
+    out = tensor.feat_slice(xn.value, c0, c1)
+
+    def vjp(g):
+        dx = np.zeros_like(xn.value)
+        dx[:, c0:c1] = g
+        return (dx,)
+
+    return Node(out, "feat_slice", (xn,), vjp)
+
+
 def tail_slice(x, s: int) -> Node:
     xn = _lift(x)
     out = tensor.tail_slice(xn.value, s)
@@ -291,36 +316,22 @@ def _lift_container(x):
     return x
 
 
-def _toposort(root: Node) -> list[Node]:
-    order: list[Node] = []
-    seen: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
-    return order
-
-
 def forward_record(program, inputs, params: dict[str, np.ndarray]) -> tuple[np.ndarray, Tape]:
     """Run `program(ops, inputs, params)` with this module as `ops`.
 
     Array inputs are lifted to unnamed constant leaves; each entry of
     `params` becomes a named leaf whose gradient `backward` reports. The
     returned output value is exactly what the untraced program computes.
+    The tape lists every node the program created, in creation order.
     """
-    param_nodes = {name: Node(np.asarray(v), op=f"param:{name}") for name, v in params.items()}
-    out = program(sys.modules[__name__], _lift_container(inputs), param_nodes)
-    out = _lift(out)
-    return out.value, Tape(out, _toposort(out), param_nodes)
+    nodes: list[Node] = []
+    token = _recording.set(nodes)
+    try:
+        param_nodes = {name: Node(np.asarray(v), op=f"param:{name}") for name, v in params.items()}
+        out = _lift(program(sys.modules[__name__], _lift_container(inputs), param_nodes))
+    finally:
+        _recording.reset(token)
+    return out.value, Tape(out, nodes, param_nodes)
 
 
 def backward(tape: Tape, seed_grad: np.ndarray | None = None) -> dict[str, np.ndarray]:

@@ -14,11 +14,11 @@ step with no mask over its cache plus chunk, the parallel route with the
 chunk mask. Under a mask each block of queries is scored only against
 the keys it may see, so the parallel route costs O(T·window), not O(T²).
 
-The chunk step projects all heads' queries, keys and values with one
-product against the layer's packed `wqkv` and slices each head's
-columns; `tensor.causal_conv1d` computes all taps in one product. Both
-sum every output element exactly as the per-head and per-tap products
-of the parallel route do, so the routes stay bit-identical.
+Both routes project all heads' queries, keys and values with one
+product per layer against the heads' packed `wq | wk | wv` weights and
+give each head its columns, and `tensor.causal_conv1d` computes all
+taps in one product. Each output element of those products sums the
+same terms in the same order as a per-head or per-tap product would.
 
 Both routes compute every reduction in the same left-to-right order, and
 masked attention positions contribute exact zeros, so their outputs agree
@@ -576,19 +576,28 @@ def forward_named(ops, features, params, config: DecoderConfig, mask) -> object:
     autodiff module (recording nodes). `params` maps the dotted names of
     `weights_to_named` to that namespace's tensors. Attention is
     restricted by `mask`; convolutions see kernel-1 left zero-padding.
+
+    Each layer packs its heads' projections in `LayerWeights.wqkv` order
+    and makes one QKV product, as the chunk step does; each head takes
+    its columns with `feat_slice`.
     """
     dt = DTYPES[config.dtype]
     t = features.shape[0]
     pe = positional_encoding(0, t, config.d_model, config.dtype)
     h = ops.add(features, pe)
-    inv = 1.0 / math.sqrt(config.d_head)
+    d, dh = config.d_model, config.d_head
+    inv = 1.0 / math.sqrt(dh)
     for l in range(config.n_layers):
         pref = f"layers.{l}."
+        wqkv = ops.concat_feat(
+            [params[f"{pref}{name}.{i}"] for name in HEAD_TENSORS for i in range(config.n_heads)]
+        )
+        qkv = ops.matmul(h, wqkv)
         heads = []
-        for i in range(config.n_heads):
-            q = ops.matmul(h, params[pref + f"wq.{i}"])
-            k = ops.matmul(h, params[pref + f"wk.{i}"])
-            v = ops.matmul(h, params[pref + f"wv.{i}"])
+        for c in range(0, d, dh):
+            q = ops.feat_slice(qkv, c, c + dh)
+            k = ops.feat_slice(qkv, d + c, d + c + dh)
+            v = ops.feat_slice(qkv, 2 * d + c, 2 * d + c + dh)
             heads.append(ops.attention(q, k, v, mask, inv))
         attn = ops.matmul(ops.concat_feat(heads), params[pref + "wo"])
         r1 = ops.layer_norm(

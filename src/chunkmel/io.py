@@ -122,7 +122,7 @@ def load_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
         (doc_len,) = struct.unpack("<I", _read_exact(f, 4, "config length"))
         try:
             config = json.loads(_read_exact(f, doc_len, "config document"))
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise FormatError(f"{path}: invalid config JSON: {e}") from e
         tensors: dict[str, np.ndarray] = {}
         while True:
@@ -132,7 +132,10 @@ def load_weights(path: str) -> tuple[dict, dict[str, np.ndarray]]:
             if len(head) != 4:
                 raise FormatError(f"{path}: truncated tensor name length")
             (name_len,) = struct.unpack("<I", head)
-            name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            try:
+                name = _read_exact(f, name_len, "tensor name").decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"{path}: tensor name is not UTF-8: {e}") from e
             if name in tensors:
                 raise FormatError(f"{path}: duplicate tensor name {name!r}")
             tensors[name] = read_tensor(f)

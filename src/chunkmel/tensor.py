@@ -36,11 +36,21 @@ def _check_same_dtype(a: np.ndarray, b: np.ndarray, op: str) -> None:
 
 
 def sum_ordered(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along `axis` in strict left-to-right order (keepdims)."""
+    """Sum along `axis` in strict left-to-right order (keepdims).
+
+    The last axis of a 2-D input with at least two rows is summed by
+    reducing over the first axis of its contiguous transpose: NumPy adds
+    each row of that into the output in turn, so every sum still runs left
+    to right, without the running totals `accumulate` writes. A single
+    row would be reduced along its contiguous axis, which NumPy sums
+    pairwise, so other inputs keep `accumulate`.
+    """
     if x.shape[axis] == 0:
         shape = list(x.shape)
         shape[axis] = 1
         return np.zeros(shape, dtype=x.dtype)
+    if x.ndim == 2 and axis in (-1, 1) and x.shape[0] >= 2:
+        return np.add.reduce(np.ascontiguousarray(x.T), axis=0)[:, None]
     acc = np.add.accumulate(x, axis=axis)
     last = [slice(None)] * acc.ndim
     last[axis] = slice(-1, None)
@@ -64,6 +74,12 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     loop; a (96×32)·(32×64) product with a transposed right operand came
     out up to 8.9e-15 off the loop reference. Pass `transpose(w)`, a
     contiguous copy, where exact order matters.
+
+    A one-column product is the exception einsum makes: with n == 1 and
+    k >= 5 it switches to a dot-product loop with partial sums, off the
+    loop reference in the last bits. Such a product multiplies against
+    `b` padded with one zero column, which takes the sequential loop, and
+    keeps the first column. A d_head = 1 model's attention makes these.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
@@ -74,6 +90,10 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = b.shape[1]
     if k == 0:
         return np.zeros((m, n), dtype=a.dtype)
+    if n == 1:
+        padded = np.zeros((k, 2), dtype=a.dtype)
+        padded[:, :1] = b
+        return np.ascontiguousarray(np.einsum("ik,kj->ij", a, padded)[:, :1])
     return np.einsum("ik,kj->ij", a, b)
 
 
@@ -84,6 +104,13 @@ def masked_softmax(logits: np.ndarray, mask=None) -> np.ndarray:
     boolean `.permitted` attribute of that shape (broadcast over any leading
     axes of `logits`). Masked positions get exactly zero weight; each query
     row must keep at least one permitted key.
+
+    Under a mask the row max is taken over permitted keys only, and only
+    their exponentials are kept: masked entries never reach `exp` as -inf,
+    which takes a slow path, and the clamp at zero keeps a masked entry
+    above the row max from overflowing before it is dropped. Permitted
+    entries see the same `exp` inputs as after masking with -inf, so the
+    result is that softmax bit for bit.
     """
     x = np.asarray(logits)
     if x.ndim < 2:
@@ -98,13 +125,14 @@ def masked_softmax(logits: np.ndarray, mask=None) -> np.ndarray:
         if dead.any():
             rows = np.flatnonzero(dead)
             raise MaskError(f"masked_softmax: fully masked query rows {rows.tolist()}")
-        x = np.where(perm, x, x.dtype.type(-np.inf))
+        rowmax = np.maximum.reduce(x, axis=-1, keepdims=True, where=perm, initial=-np.inf)
+        zero = x.dtype.type(0)
+        e = np.where(perm, np.exp(np.minimum(x - rowmax, zero)), zero)
     elif x.shape[-1] == 0:
         raise MaskError("masked_softmax: zero keys and no mask")
-    rowmax = np.maximum.reduce(x, axis=-1, keepdims=True)
-    e = np.exp(x - rowmax)
-    denom = sum_ordered(e, axis=-1)
-    return e / denom
+    else:
+        e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / sum_ordered(e, axis=-1)
 
 
 # Query rows per score block under a chunk mask, rounded up to whole chunks.
@@ -221,6 +249,18 @@ def concat_feat(parts: list[np.ndarray]) -> np.ndarray:
             raise ShapeError(f"concat_feat: time lengths differ ({t} vs {p.shape[0]})")
         _check_same_dtype(parts[0], p, "concat_feat")
     return np.concatenate(parts, axis=1)
+
+
+def feat_slice(x: np.ndarray, c0: int, c1: int) -> np.ndarray:
+    """Feature columns c0 .. c1-1 of every frame, as a view.
+
+    This is how each head takes its query, key and value columns from a
+    fused projection; `matmul` multiplies such a view exactly like its
+    contiguous copy.
+    """
+    if x.ndim != 2 or not 0 <= c0 <= c1 <= x.shape[1]:
+        raise ShapeError(f"feat_slice: columns [{c0}, {c1}) outside features of {x.shape}")
+    return x[:, c0:c1]
 
 
 def tail_slice(x: np.ndarray, s: int) -> np.ndarray:

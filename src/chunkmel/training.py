@@ -78,14 +78,6 @@ def make_task(
     )
 
 
-def _lagged(x: np.ndarray, lag: int) -> np.ndarray:
-    if lag == 0:
-        return x
-    out = np.zeros_like(x)
-    out[lag:] = x[:-lag]
-    return out
-
-
 def generate_batch(
     task: SyntheticTask, t: int, batch: int, rng: np.random.Generator, dtype: str = "f64"
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +94,16 @@ def generate_batch(
     # (batch, d, 4, T) -> sum over the 4 components -> (batch, T, d)
     waves = 0.25 * np.sin(omega[..., None] * steps + phase[..., None])
     feats = waves.sum(axis=2).transpose(0, 2, 1)
-    targets = np.empty((batch, t, task.mel_bins), dtype=np.float64)
-    for s in range(batch):
-        x = feats[s]
-        mixed = np.zeros_like(x)
-        for lag, gain in LAG_TAPS:
-            shifted = _lagged(x, lag)
-            if lag == 0:
-                mixed = mixed + gain * shifted
-            else:
-                mixed = mixed + gain * tensor.matmul(shifted, task.mix_b)
-        targets[s] = tensor.matmul(mixed, task.mix_a) * task.target_scale
+    d = task.d_model
+    # the per-frame product commutes with the lag, so one product over
+    # every frame of the batch serves each lagged tap
+    through_b = (feats.reshape(batch * t, d) @ task.mix_b).reshape(batch, t, d)
+    mixed = np.zeros((batch, t, d))
+    for lag, gain in LAG_TAPS:
+        term = feats if lag == 0 else through_b
+        mixed[:, lag:] += gain * term[:, : max(t - lag, 0)]
+    targets = (mixed.reshape(batch * t, d) @ task.mix_a).reshape(batch, t, task.mel_bins)
+    targets *= task.target_scale
     dt = tensor.DTYPES[dtype]
     return feats.astype(dt), targets.astype(dt)
 

@@ -81,9 +81,10 @@ def test_fd_remaining_primitives():
         joined = ops.concat_feat([t, ops.scale(t, 0.5)])
         grown = ops.concat_time(joined, ops.mul(joined, joined))
         kept = ops.tail_slice(grown, 5)
-        return ops.sum_all(ops.add_bias(ops.add(kept, kept), p["b"]))
+        cols = ops.feat_slice(kept, 2, 9)
+        return ops.sum_all(ops.add_bias(ops.add(cols, ops.mul(cols, cols)), p["b"]))
 
-    fd_pass(program, rand((6, 4), 16), {"w": rand((4, 3), 17), "b": rand(12, 18)})
+    fd_pass(program, rand((6, 4), 16), {"w": rand((4, 3), 17), "b": rand(7, 18)})
 
 
 def test_fd_linear_program_passes_at_1e6():
@@ -271,10 +272,10 @@ def test_backward_makes_no_tensor_matmul_calls(monkeypatch):
     _, tape = autodiff.forward_record(
         lambda ops, x, p: decoder.forward_named(ops, x, p, cfg, mask), rand((20, 12), 57), params
     )
-    # per layer: q, k, v and the two dense attention products of each
-    # head, the output projection and one product per conv; then the Mel
-    # projection
-    assert len(calls) == cfg.n_layers * (5 * cfg.n_heads + 3) + 1
+    # per layer: one QKV product, the two dense attention products of
+    # each head, the output projection and one product per conv; then the
+    # Mel projection
+    assert len(calls) == cfg.n_layers * (2 * cfg.n_heads + 4) + 1
     calls.clear()
     grads = autodiff.backward(tape)
     assert calls == []

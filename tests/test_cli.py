@@ -243,6 +243,22 @@ class TestSynthCommand:
         assert code == 3
         assert "chunk_size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [b'"chunk_size"', b"layers.0.wk.1"], ids=["config", "name"])
+    def test_non_utf8_model_text_is_format_error(self, tmp_path, capsys, field):
+        # one byte of a config key or of a tensor name made invalid UTF-8
+        model_path, cfg = tiny_model_file(tmp_path)
+        with open(model_path, "rb") as f:
+            data = f.read()
+        assert data.count(field) == 1
+        with open(model_path, "wb") as f:
+            f.write(data.replace(field, field[:1] + b"\xff" + field[2:]))
+        code = cli.cli_dispatch(
+            ["synth", "--model", model_path, "--features", self.make_features(tmp_path, cfg),
+             "--out", str(tmp_path / "o.ctn")]
+        )
+        assert code == 3
+        assert "utf-8" in capsys.readouterr().err.lower()
+
     def test_missing_model_is_io_error(self, tmp_path, capsys):
         feats_path = str(tmp_path / "f.ctn")
         io.save_tensor(feats_path, np.zeros((4, 8)))

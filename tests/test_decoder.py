@@ -65,6 +65,15 @@ class TestEquivalence:
         inc, par = run_both_routes(tiny_cfg(), 13)
         assert np.array_equal(inc, par)
 
+    @pytest.mark.parametrize("dtype", ["f64", "f32"])
+    @pytest.mark.parametrize("d_model", [4, 8])
+    def test_one_column_heads_are_bit_exact(self, dtype, d_model):
+        # d_head = 1: every probs·v product has one column, and most have
+        # five or more keys, the shape where einsum leaves left-to-right order
+        cfg = tiny_cfg(d_model=d_model, n_heads=d_model, dtype=dtype)
+        inc, par = run_both_routes(cfg, 40)
+        assert inc.tobytes() == par.tobytes()
+
     def test_single_chunk_equals_all_true_mask(self):
         cfg = tiny_cfg(chunk_size=10, past_size=0)
         model = decoder.init_weights(cfg, seed=3)

@@ -25,7 +25,10 @@ def rand(shape, dtype=np.float64, seed=0):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("m,k,n", [(1, 1, 1), (3, 5, 2), (7, 1, 4), (4, 257, 3), (16, 32, 8)])
+@pytest.mark.parametrize(
+    "m,k,n",
+    [(1, 1, 1), (3, 5, 2), (7, 1, 4), (4, 257, 3), (16, 32, 8), (1, 5, 1), (30, 16, 1), (97, 33, 1)],
+)
 def test_matmul_matches_triple_loop_exactly(dtype, m, k, n):
     a = rand((m, k), dtype, seed=m * 100 + k)
     b = rand((k, n), dtype, seed=n * 100 + k + 1)
@@ -55,10 +58,14 @@ def test_matmul_exact_on_column_slice_views(dtype, t):
     # projection; a column-slice view must multiply like its contiguous copy
     fused = rand((t, 96), dtype, seed=t)
     right = rand((16, 45), dtype, seed=t + 1)
+    probs = rand((45, t), dtype, seed=t + 4)
     for c in range(0, 96, 16):
         view = fused[:, c : c + 16]
         got = tensor.matmul(view, right)
         assert np.array_equal(got, tensor.matmul(np.ascontiguousarray(view), right))
+        # as the right operand, like a head's values in probs·v
+        got = tensor.matmul(probs, view)
+        assert np.array_equal(got, tensor.matmul(probs, np.ascontiguousarray(view)))
     w = rand((32, 96), dtype, seed=t + 2)
     x = rand((t, 32), dtype, seed=t + 3)
     whole = tensor.matmul(x, w)
@@ -93,6 +100,20 @@ def test_sum_ordered_matches_running_total_exactly():
     assert np.array_equal(got, want)
     empty = tensor.sum_ordered(np.empty((4, 0)), axis=-1)
     assert empty.shape == (4, 1) and np.all(empty == 0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sum_ordered_equals_accumulate_over_rows_and_widths(dtype):
+    # several rows are summed by a reduction over the transpose, one row
+    # by accumulate; both must give the running total's last column
+    rng = np.random.default_rng(17)
+    for t in range(1, 61):
+        for w in range(1, 201, 7 if t > 3 else 1):
+            x = (10 * rng.standard_normal((t, w))).astype(dtype)
+            got = tensor.sum_ordered(x, axis=-1)
+            want = np.add.accumulate(x, axis=-1)[:, -1:]
+            assert got.shape == (t, 1)
+            assert got.tobytes() == want.tobytes(), (t, w)
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +161,38 @@ def test_masked_rows_equal_standalone_subrow_softmax_bitwise():
         sub = tensor.masked_softmax(x[r][keep][None, :], None)[0]
         assert np.array_equal(full[r][keep], sub)
         assert np.all(full[r][~keep] == 0.0)
+
+
+def softmax_take(x, permitted):
+    """The masked softmax as it was first written: masked logits set to
+    -inf, the row max over all keys, the denominator a running sum."""
+    if permitted is not None:
+        x = np.where(permitted, x, x.dtype.type(-np.inf))
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.take(np.add.accumulate(e, axis=-1), [-1], axis=-1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_masked_softmax_equals_the_minus_inf_form_bytewise(dtype):
+    rng = np.random.default_rng(23)
+    for shape in [(1, 1), (1, 9), (7, 1), (5, 5), (30, 45), (96, 96), (3, 12, 20)]:
+        x = (8 * rng.standard_normal(shape)).astype(dtype)
+        permitted = rng.random(shape[-2:]) < 0.4
+        permitted[np.arange(shape[-2]), rng.integers(0, shape[-1], shape[-2])] = True
+        # a masked logit far above the row max must not overflow
+        x[..., ~permitted] += dtype(1e4)
+        causal = np.tril(np.ones(shape[-2:], dtype=bool), k=max(0, shape[-1] - shape[-2]))
+        for perm in (None, permitted, causal):
+            got = tensor.masked_softmax(x, perm)
+            assert got.tobytes() == softmax_take(x, perm).tobytes(), (shape, perm)
+            if perm is not None:
+                assert not got[..., ~perm].any()
+    # per-head masks: each head's logits under a mask of its own
+    x = (8 * rng.standard_normal((4, 24, 24))).astype(dtype)
+    for head in x:
+        perm = rng.random((24, 24)) < 0.3
+        perm[:, 0] = True
+        assert tensor.masked_softmax(head, perm).tobytes() == softmax_take(head, perm).tobytes()
 
 
 def test_softmax_broadcasts_mask_over_heads():
@@ -260,12 +313,6 @@ def test_layer_norm_and_softmax_match_the_numpy_wrapper_composition(dtype):
         xc = x - mu
         var = np.mean(xc * xc, axis=1, keepdims=True)
         return gamma * (xc / np.sqrt(var + x.dtype.type(eps))) + beta
-
-    def softmax_take(x, permitted):
-        if permitted is not None:
-            x = np.where(permitted, x, x.dtype.type(-np.inf))
-        e = np.exp(x - np.max(x, axis=-1, keepdims=True))
-        return e / np.take(np.add.accumulate(e, axis=-1), [-1], axis=-1)
 
     for t, d in [(1, 8), (30, 32), (45, 33), (1000, 80)]:
         x = 3 * rand((t, d), dtype, seed=t + d) + 1
@@ -388,6 +435,12 @@ def test_concat_feat_splits_back():
     assert np.array_equal(cat[:, :2], parts[0])
     assert np.array_equal(cat[:, 2:5], parts[1])
     assert np.array_equal(cat[:, 5:], parts[2])
+    for (c0, c1), part in zip([(0, 2), (2, 5), (5, 6)], parts):
+        assert tensor.feat_slice(cat, c0, c1).tobytes() == part.tobytes()
+    assert tensor.feat_slice(cat, 3, 3).shape == (5, 0)
+    for c0, c1 in [(-1, 2), (4, 3), (5, 7)]:
+        with pytest.raises(ShapeError):
+            tensor.feat_slice(cat, c0, c1)
     with pytest.raises(ShapeError):
         tensor.concat_feat([])
     with pytest.raises(ShapeError):
