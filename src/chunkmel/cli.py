@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -237,16 +238,12 @@ def _cmd_synth(args) -> int:
     feats = io.load_tensor(args.features)
     cfg = model.config
     if args.chunk is not None or args.past is not None:
-        from dataclasses import replace
-
         cfg = replace(
             cfg,
             chunk_size=args.chunk if args.chunk is not None else cfg.chunk_size,
             past_size=args.past if args.past is not None else cfg.past_size,
         )
-        model = decoder.ModelWeights(
-            config=cfg, layers=model.layers, proj_w=model.proj_w, proj_b=model.proj_b
-        )
+        model = replace(model, config=cfg)
     if args.mode == "incremental":
         state = None
         if args.state_in:

@@ -1,34 +1,29 @@
 """Chunk-incremental transformer decoder with fixed-size state caches.
 
-Two inference routes over the same weights:
+One block body, `fft_block_step` (attention in `mha_chunk_step`, the
+conv FFN in `ffn_chunk_step`), is written once over an `ops` namespace
+and runs every route:
 
-- `decode_incremental` consumes the feature sequence chunk by chunk,
-  carrying per-layer attention key/value caches (at most `past_size`
-  frames) and causal-conv tails (exactly kernel-1 frames) between steps.
-- `decode_parallel_masked` runs the whole sequence at once under a chunk
-  attention mask, with kernel-1 left zero-padding for the convolutions.
-  This is both the training-time forward and the equivalence oracle.
+- `decode_chunk` and `decode_incremental` run it chunk by chunk with no
+  mask, carrying per-layer attention key/value caches (at most
+  `past_size` frames) and causal-conv tails (exactly kernel-1 frames).
+- `forward_named` and `decode_parallel_masked` run it as one chunk as
+  long as the sequence, under a chunk attention mask, from the empty
+  caches and zero conv tails of `init_state`: the kernel-1 left
+  zero-padding. With `autodiff` as `ops` this is the training forward;
+  with `tensor` it is the equivalence oracle.
 
-Both routes call one attention primitive, `tensor.attention`: the chunk
-step with no mask over its cache plus chunk, the parallel route with the
-chunk mask. Under a mask each block of queries is scored only against
-the keys it may see, so the parallel route costs O(T·window), not O(T²).
+Weights live in one name -> tensor map, the CFPW layout of
+`weight_shapes`. `ModelWeights` checks it against the config and packs
+each layer's `wq | wk | wv` heads side by side once, so a layer makes one
+QKV product; `forward_named` packs in the graph, so gradients reach the
+per-head tensors. Under a mask, `tensor.attention` scores each block of
+queries only against the keys it may see: O(T·window), not O(T²).
 
-Both routes project all heads' queries, keys and values with one
-product per layer against the heads' packed `wq | wk | wv` weights and
-give each head its columns, and `tensor.causal_conv1d` computes all
-taps in one product. Each output element of those products sums the
-same terms in the same order as a per-head or per-tap product would.
-
-Both routes compute every reduction in the same left-to-right order, and
-masked attention positions contribute exact zeros, so their outputs agree
-bit-for-bit up to the sign of zero ties. A blocked-out key never perturbs
-the sum it is excluded from.
-
-Caches at sequence start: attention caches are EMPTY (they grow up to
-`past_size`), conv tails are ZERO. Chunk 1 then sees exactly what the
-training mask gives it (no past), and chunked convolution matches the
-zero-padded parallel convolution.
+Every product and reduction sums in the same left-to-right order on both
+routes (a fused QKV or conv product element sums what a per-head or
+per-tap product would), and masked positions contribute exact zeros, so
+the outputs agree bit for bit, up to the sign of zero ties.
 """
 
 from __future__ import annotations
@@ -172,140 +167,125 @@ def check_config_doc(cls, doc: dict, what: str) -> None:
             raise ValueError(f"{what} field {name!r}: {value!r} is not of type {tp}")
 
 
-@dataclass
-class LayerWeights:
-    """One FFT block: per-head attention projections, the output
-    projection, two causal convs, and two layer-norm parameter pairs.
-
-    `wqkv` packs every head's query, key and value projection side by
-    side, [wq_0 .. wq_h-1 | wk_0 .. | wv_0 ..], once when the layer is
-    built, so the chunk step projects all heads in one product.
-    """
-
-    wq: list[np.ndarray]
-    wk: list[np.ndarray]
-    wv: list[np.ndarray]
-    wo: np.ndarray
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    ln1_gamma: np.ndarray
-    ln1_beta: np.ndarray
-    ln2_gamma: np.ndarray
-    ln2_beta: np.ndarray
-    wqkv: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.wqkv = np.concatenate([*self.wq, *self.wk, *self.wv], axis=1)
-
-
-# Per-layer tensors: one per head for each of HEAD_TENSORS, one each of
-# LAYER_TENSORS. Named map keys are "layers.{l}.{name}.{head}" and
-# "layers.{l}.{name}", in this order, then "proj_w" and "proj_b".
 HEAD_TENSORS = ("wq", "wk", "wv")
-LAYER_TENSORS = (
-    "wo", "conv1_w", "conv1_b", "conv2_w", "conv2_b",
-    "ln1_gamma", "ln1_beta", "ln2_gamma", "ln2_beta",
-)
+
+
+def weight_shapes(config: DecoderConfig) -> dict[str, tuple[int, ...]]:
+    """The dotted name and shape of every weight tensor of a model with
+    `config`, in the named map's order: per layer l, "layers.{l}.{t}.{i}"
+    for each head i and t in HEAD_TENSORS, then "layers.{l}.{t}" for the
+    layer's other tensors; "proj_w" and "proj_b" last."""
+    d, dff = config.d_model, config.d_ff
+    layer = {
+        "wo": (d, d),
+        "conv1_w": (config.kernel1, d, dff),
+        "conv1_b": (dff,),
+        "conv2_w": (config.kernel2, dff, d),
+        "conv2_b": (d,),
+        "ln1_gamma": (d,),
+        "ln1_beta": (d,),
+        "ln2_gamma": (d,),
+        "ln2_beta": (d,),
+    }
+    shapes: dict[str, tuple[int, ...]] = {}
+    for l in range(config.n_layers):
+        pref = f"layers.{l}."
+        for i in range(config.n_heads):
+            shapes.update({f"{pref}{t}.{i}": (d, config.d_head) for t in HEAD_TENSORS})
+        shapes.update({pref + t: shape for t, shape in layer.items()})
+    shapes["proj_w"] = (d, config.mel_bins)
+    shapes["proj_b"] = (config.mel_bins,)
+    return shapes
+
+
+def _non_finite_at(arr: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first NaN or infinity in `arr`, or None if it has none."""
+    ok = np.isfinite(arr)
+    if ok.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(ok), arr.shape))
+
+
+def pack_qkv(ops, params, config: DecoderConfig, l: int):
+    """Layer l's query, key and value projections side by side,
+    [wq_0 .. wq_h-1 | wk_0 .. | wv_0 ..]: the columns of one QKV product."""
+    return ops.concat_feat(
+        [params[f"layers.{l}.{t}.{i}"] for t in HEAD_TENSORS for i in range(config.n_heads)]
+    )
 
 
 @dataclass
 class ModelWeights:
+    """A config and its weights as one name -> tensor map.
+
+    `named` maps the dotted names of `weight_shapes` to tensors: the CFPW
+    layout, and what training optimises. Construction copies the map,
+    checks every tensor's shape, dtype and finiteness against the config
+    (ValueError), and packs each layer's projections into `wqkv[l]` once
+    (`pack_qkv`), so the chunk step never repacks. Treat the model as
+    read-only: edit the copy `weights_to_named` returns and build a new
+    `ModelWeights` from it.
+    """
+
     config: DecoderConfig
-    layers: list[LayerWeights]
-    proj_w: np.ndarray
-    proj_b: np.ndarray
+    named: dict[str, np.ndarray] = field(repr=False)
+    wqkv: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        cfg = self.config
+        shapes = weight_shapes(cfg)
+        missing = shapes.keys() - self.named.keys()
+        extra = self.named.keys() - shapes.keys()
+        if missing or extra:
+            raise ValueError(
+                f"weight name mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
+            )
+        for name, shape in shapes.items():
+            arr = self.named[name]
+            if arr.shape != shape or arr.dtype != cfg.np_dtype:
+                raise ValueError(
+                    f"weight {name!r} is {arr.dtype} {arr.shape}, config needs {cfg.dtype} {shape}"
+                )
+            at = _non_finite_at(arr)
+            if at is not None:
+                raise ValueError(f"weight {name!r}: non-finite value at index {at}")
+        self.named = {name: self.named[name] for name in shapes}
+        self.wqkv = [pack_qkv(tensor, self.named, cfg, l) for l in range(cfg.n_layers)]
 
 
 def init_weights(config: DecoderConfig, seed: int) -> ModelWeights:
     """Seeded uniform init, bounds sqrt(6 / (fan_in + fan_out)).
 
     Conv fans count the kernel taps. Biases start at zero, layer-norm at
-    identity. Draws happen in f64 in a fixed order, then cast, so a seed
-    pins the model for either dtype.
+    identity. Draws happen in f64 in a fixed order (per layer every head's
+    wq, then wk, then wv, then wo, conv1_w, conv2_w; proj_w last), then
+    cast, so a seed pins the model for either dtype.
     """
     rng = np.random.default_rng(seed)
     dt = config.np_dtype
+    shapes = weight_shapes(config)
 
-    def draw(fan_in, fan_out, shape):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
+    def draw(name):
+        shape = shapes[name]
+        taps = shape[0] if len(shape) == 3 else 1
+        bound = math.sqrt(6.0 / (taps * shape[-2] + taps * shape[-1]))
         return rng.uniform(-bound, bound, size=shape).astype(dt)
 
-    d, dh, dff = config.d_model, config.d_head, config.d_ff
-    k1, k2 = config.kernel1, config.kernel2
-    layers = []
-    for _ in range(config.n_layers):
-        wq = [draw(d, dh, (d, dh)) for _ in range(config.n_heads)]
-        wk = [draw(d, dh, (d, dh)) for _ in range(config.n_heads)]
-        wv = [draw(d, dh, (d, dh)) for _ in range(config.n_heads)]
-        wo = draw(d, d, (d, d))
-        conv1_w = draw(k1 * d, k1 * dff, (k1, d, dff))
-        conv2_w = draw(k2 * dff, k2 * d, (k2, dff, d))
-        layers.append(
-            LayerWeights(
-                wq=wq,
-                wk=wk,
-                wv=wv,
-                wo=wo,
-                conv1_w=conv1_w,
-                conv1_b=np.zeros(dff, dtype=dt),
-                conv2_w=conv2_w,
-                conv2_b=np.zeros(d, dtype=dt),
-                ln1_gamma=np.ones(d, dtype=dt),
-                ln1_beta=np.zeros(d, dtype=dt),
-                ln2_gamma=np.ones(d, dtype=dt),
-                ln2_beta=np.zeros(d, dtype=dt),
-            )
-        )
-    proj_w = draw(d, config.mel_bins, (d, config.mel_bins))
-    proj_b = np.zeros(config.mel_bins, dtype=dt)
-    return ModelWeights(config=config, layers=layers, proj_w=proj_w, proj_b=proj_b)
-
-
-def weight_names(config: DecoderConfig) -> list[str]:
-    """The dotted names of every weight tensor of a model with `config`."""
-    names = []
+    drawn = []
     for l in range(config.n_layers):
         pref = f"layers.{l}."
-        for i in range(config.n_heads):
-            names += [f"{pref}{t}.{i}" for t in HEAD_TENSORS]
-        names += [pref + t for t in LAYER_TENSORS]
-    return names + ["proj_w", "proj_b"]
+        drawn += [f"{pref}{t}.{i}" for t in HEAD_TENSORS for i in range(config.n_heads)]
+        drawn += [pref + t for t in ("wo", "conv1_w", "conv2_w")]
+    named = {name: draw(name) for name in drawn + ["proj_w"]}
+    for name, shape in shapes.items():
+        if name not in named:
+            named[name] = (np.ones if name.endswith("_gamma") else np.zeros)(shape, dtype=dt)
+    return ModelWeights(config, named)
 
 
 def weights_to_named(model: ModelWeights) -> dict[str, np.ndarray]:
-    """Flatten weights to a name -> tensor map (stable dotted names)."""
-    named: dict[str, np.ndarray] = {}
-    for l, lw in enumerate(model.layers):
-        pref = f"layers.{l}."
-        for i in range(model.config.n_heads):
-            for t in HEAD_TENSORS:
-                named[f"{pref}{t}.{i}"] = getattr(lw, t)[i]
-        for t in LAYER_TENSORS:
-            named[pref + t] = getattr(lw, t)
-    named["proj_w"] = model.proj_w
-    named["proj_b"] = model.proj_b
-    return named
-
-
-def named_to_weights(config: DecoderConfig, named: dict[str, np.ndarray]) -> ModelWeights:
-    """Rebuild structured weights from a flat name map, checking coverage."""
-    expected = set(weight_names(config))
-    missing = expected - set(named)
-    extra = set(named) - expected
-    if missing or extra:
-        raise ValueError(
-            f"weight name mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
-        )
-    layers = []
-    for l in range(config.n_layers):
-        pref = f"layers.{l}."
-        heads = {t: [named[f"{pref}{t}.{i}"] for i in range(config.n_heads)] for t in HEAD_TENSORS}
-        layers.append(LayerWeights(**heads, **{t: named[pref + t] for t in LAYER_TENSORS}))
-    return ModelWeights(
-        config=config, layers=layers, proj_w=named["proj_w"], proj_b=named["proj_b"]
-    )
+    """A fresh copy of the model's name -> tensor map (stable dotted names)."""
+    return dict(model.named)
 
 
 def save_model(path: str, model: ModelWeights) -> None:
@@ -315,7 +295,7 @@ def save_model(path: str, model: ModelWeights) -> None:
 def load_model(path: str) -> ModelWeights:
     doc, named = io.load_weights(path)
     try:
-        return named_to_weights(DecoderConfig.from_dict(doc), named)
+        return ModelWeights(DecoderConfig.from_dict(doc), named)
     except ValueError as e:
         raise io.FormatError(f"{path}: {e}") from e
 
@@ -399,9 +379,13 @@ def load_decoder_state(path: str, config: DecoderConfig) -> DecoderState:
         h = config.n_heads
         pk, pv = block[:h], block[h : 2 * h]
         pc1, pc2 = block[2 * h], block[2 * h + 1]
-        for arr in block:
+        names = [f"head {i} {c} cache" for c in ("key", "value") for i in range(h)]
+        for what, arr in zip(names + ["conv1 tail", "conv2 tail"], block):
             if arr.dtype != config.np_dtype:
                 raise io.FormatError(f"{path}: state dtype {arr.dtype} != config {config.dtype}")
+            at = _non_finite_at(arr)
+            if at is not None:
+                raise io.FormatError(f"{path}: layer {l} {what}: non-finite value at index {at}")
         if pc1.shape != (config.kernel1 - 1, config.d_model):
             raise io.FormatError(f"{path}: conv1 tail shape {pc1.shape} invalid")
         if pc2.shape != (config.kernel2 - 1, config.d_ff):
@@ -454,69 +438,89 @@ def positional_encoding(offset: int, length: int, d_model: int, dtype: str = "f6
 
 
 # ---------------------------------------------------------------------------
-# Incremental route.
+# The block body, shared by every route.
 
 
-def mha_chunk_step(
-    x: np.ndarray, w: LayerWeights, st: AttentionState, config: DecoderConfig
-) -> tuple[np.ndarray, AttentionState]:
-    """Multi-head attention over one chunk plus the cached past.
+def mha_chunk_step(ops, x, wqkv, wo, st: AttentionState, config: DecoderConfig, mask):
+    """Multi-head attention of a chunk over the cached past plus the chunk.
 
     One product projects the chunk onto every head's query, key and value
-    (`w.wqkv`); each head takes its columns of it. Per head: keys/values
-    of the chunk are appended to the cache, every query attends the whole
-    concatenation (no intra-chunk mask), and the new cache is the
-    trailing past_size rows. Scores scale by 1/sqrt(d_head).
+    (`wqkv`, see `pack_qkv`); each head takes its columns of it. Per head:
+    the chunk's keys/values are appended to the cache, the queries attend
+    the concatenation under `mask` (None: every query sees all of it), and
+    the new cache is its trailing past_size rows. Scores scale by
+    1/sqrt(d_head).
     """
-    if x.ndim != 2 or x.shape[1] != config.d_model:
-        raise ShapeError(f"mha_chunk_step: chunk shape {x.shape} != (*, {config.d_model})")
-    inv = 1.0 / math.sqrt(config.d_head)
     d, dh = config.d_model, config.d_head
-    qkv = tensor.matmul(x, w.wqkv)
-    heads = []
-    new_pk, new_pv = [], []
-    for i in range(config.n_heads):
-        c = i * dh
-        q = qkv[:, c : c + dh]
-        k_cat = tensor.concat_time(st.pk[i], qkv[:, d + c : d + c + dh])
-        v_cat = tensor.concat_time(st.pv[i], qkv[:, 2 * d + c : 2 * d + c + dh])
-        heads.append(tensor.attention(q, k_cat, v_cat, None, inv))
-        keep = len(k_cat) if config.past_size == ALL else config.past_size
-        new_pk.append(tensor.tail_slice(k_cat, keep))
-        new_pv.append(tensor.tail_slice(v_cat, keep))
-    o = tensor.matmul(tensor.concat_feat(heads), w.wo)
-    return o, AttentionState(pk=new_pk, pv=new_pv)
+    inv = 1.0 / math.sqrt(dh)
+    qkv = ops.matmul(x, wqkv)
+    heads, pk, pv = [], [], []
+    for i, c in enumerate(range(0, d, dh)):
+        q = ops.feat_slice(qkv, c, c + dh)
+        k = ops.concat_time(st.pk[i], ops.feat_slice(qkv, d + c, d + c + dh))
+        v = ops.concat_time(st.pv[i], ops.feat_slice(qkv, 2 * d + c, 2 * d + c + dh))
+        heads.append(ops.attention(q, k, v, mask, inv))
+        keep = len(k) if config.past_size == ALL else config.past_size
+        pk.append(ops.tail_slice(k, keep))
+        pv.append(ops.tail_slice(v, keep))
+    return ops.matmul(ops.concat_feat(heads), wo), AttentionState(pk=pk, pv=pv)
 
 
-def ffn_chunk_step(
-    x: np.ndarray, w: LayerWeights, st: ConvState, config: DecoderConfig
-) -> tuple[np.ndarray, ConvState]:
-    """Two causal convolutions with carried tails; both layers ReLU.
+def ffn_chunk_step(ops, x, params, l: int, st: ConvState, config: DecoderConfig):
+    """Layer l's two causal convolutions over carried tails; both ReLU.
 
-    Each conv prepends its kernel-1 cached frames, so the chunked result
-    equals the left-zero-padded parallel convolution frame for frame. New
-    tails are the last kernel-1 rows of each conv input.
+    Each conv prepends its kernel-1 carried frames (zeros at sequence
+    start), so the chunked result equals the left-zero-padded
+    whole-sequence convolution frame for frame. New tails are the last
+    kernel-1 rows of each conv input.
     """
-    c1 = tensor.concat_time(st.pc1, x)
-    o1 = tensor.relu(tensor.causal_conv1d(c1, w.conv1_w, w.conv1_b))
-    c2 = tensor.concat_time(st.pc2, o1)
-    o2 = tensor.relu(tensor.causal_conv1d(c2, w.conv2_w, w.conv2_b))
-    st2 = ConvState(
-        pc1=tensor.tail_slice(c1, config.kernel1 - 1),
-        pc2=tensor.tail_slice(c2, config.kernel2 - 1),
+    pref = f"layers.{l}."
+    c1 = ops.concat_time(st.pc1, x)
+    o1 = ops.relu(ops.causal_conv1d(c1, params[pref + "conv1_w"], params[pref + "conv1_b"]))
+    c2 = ops.concat_time(st.pc2, o1)
+    o2 = ops.relu(ops.causal_conv1d(c2, params[pref + "conv2_w"], params[pref + "conv2_b"]))
+    tails = ConvState(
+        pc1=ops.tail_slice(c1, config.kernel1 - 1),
+        pc2=ops.tail_slice(c2, config.kernel2 - 1),
     )
-    return o2, st2
+    return o2, tails
 
 
-def fft_block_step(
-    x: np.ndarray, w: LayerWeights, st: LayerState, config: DecoderConfig
-) -> tuple[np.ndarray, LayerState]:
-    """One decoder block, post-norm: LN(x + attention), LN(that + conv FFN)."""
-    attn, attn_st = mha_chunk_step(x, w, st.attn, config)
-    r1 = tensor.layer_norm(tensor.add(x, attn), w.ln1_gamma, w.ln1_beta, config.ln_eps)
-    ffn, conv_st = ffn_chunk_step(r1, w, st.conv, config)
-    y = tensor.layer_norm(tensor.add(r1, ffn), w.ln2_gamma, w.ln2_beta, config.ln_eps)
+def fft_block_step(ops, x, params, wqkv, l: int, st: LayerState, config: DecoderConfig, mask):
+    """Decoder block l, post-norm: LN(x + attention), LN(that + conv FFN).
+
+    `ops` is the tensor module (plain arrays) or the autodiff module
+    (recording nodes); `params` is the named weight map in that
+    namespace's tensors and `wqkv` layer l's packed projection. `st`
+    carries the caches in; the returned state carries them out.
+    """
+    pref = f"layers.{l}."
+    attn, attn_st = mha_chunk_step(ops, x, wqkv, params[pref + "wo"], st.attn, config, mask)
+    r1 = ops.layer_norm(
+        ops.add(x, attn), params[pref + "ln1_gamma"], params[pref + "ln1_beta"], config.ln_eps
+    )
+    ffn, conv_st = ffn_chunk_step(ops, r1, params, l, st.conv, config)
+    y = ops.layer_norm(
+        ops.add(r1, ffn), params[pref + "ln2_gamma"], params[pref + "ln2_beta"], config.ln_eps
+    )
     return y, LayerState(attn=attn_st, conv=conv_st)
+
+
+def _decode(ops, x, params, wqkv, state: DecoderState, config: DecoderConfig, mask):
+    """Positional encoding, every block, then the Mel projection, for the
+    frames of `x` following `state`; returns the Mel and the next state."""
+    pe = positional_encoding(state.frame_offset, len(x), config.d_model, config.dtype)
+    h = ops.add(x, pe)
+    layers = []
+    for l, st in enumerate(state.layers):
+        h, st = fft_block_step(ops, h, params, wqkv[l], l, st, config, mask)
+        layers.append(st)
+    mel = ops.add_bias(ops.matmul(h, params["proj_w"]), params["proj_b"])
+    return mel, DecoderState(layers=layers, frame_offset=state.frame_offset + len(x))
+
+
+# ---------------------------------------------------------------------------
+# Incremental route.
 
 
 def decode_chunk(
@@ -529,14 +533,7 @@ def decode_chunk(
     if len(chunk) == 0:
         raise ShapeError("decode_chunk: empty chunk")
     _check_finite(chunk, "decode_chunk", state.frame_offset)
-    pe = positional_encoding(state.frame_offset, len(chunk), cfg.d_model, cfg.dtype)
-    h = tensor.add(chunk, pe)
-    new_layers = []
-    for l in range(cfg.n_layers):
-        h, layer_st = fft_block_step(h, model.layers[l], state.layers[l], cfg)
-        new_layers.append(layer_st)
-    mel = tensor.add_bias(tensor.matmul(h, model.proj_w), model.proj_b)
-    return mel, DecoderState(layers=new_layers, frame_offset=state.frame_offset + len(chunk))
+    return _decode(tensor, chunk, model.named, model.wqkv, state, cfg, None)
 
 
 def decode_incremental(
@@ -572,53 +569,15 @@ def decode_incremental(
 def forward_named(ops, features, params, config: DecoderConfig, mask) -> object:
     """Full-sequence forward through an `ops` namespace.
 
-    `ops` is either the tensor module (plain arrays in and out) or the
-    autodiff module (recording nodes). `params` maps the dotted names of
-    `weights_to_named` to that namespace's tensors. Attention is
-    restricted by `mask`; convolutions see kernel-1 left zero-padding.
-
-    Each layer packs its heads' projections in `LayerWeights.wqkv` order
-    and makes one QKV product, as the chunk step does; each head takes
-    its columns with `feat_slice`.
+    One chunk as long as the sequence: it starts from `init_state`, whose
+    empty caches and zero conv tails are the kernel-1 left zero-padding,
+    runs the block body under `mask`, and drops the carried state. `ops`
+    and `params` are as for `fft_block_step`. Each layer's projections
+    are packed in the graph, so gradients reach the per-head tensors.
     """
-    dt = DTYPES[config.dtype]
-    t = features.shape[0]
-    pe = positional_encoding(0, t, config.d_model, config.dtype)
-    h = ops.add(features, pe)
-    d, dh = config.d_model, config.d_head
-    inv = 1.0 / math.sqrt(dh)
-    for l in range(config.n_layers):
-        pref = f"layers.{l}."
-        wqkv = ops.concat_feat(
-            [params[f"{pref}{name}.{i}"] for name in HEAD_TENSORS for i in range(config.n_heads)]
-        )
-        qkv = ops.matmul(h, wqkv)
-        heads = []
-        for c in range(0, d, dh):
-            q = ops.feat_slice(qkv, c, c + dh)
-            k = ops.feat_slice(qkv, d + c, d + c + dh)
-            v = ops.feat_slice(qkv, 2 * d + c, 2 * d + c + dh)
-            heads.append(ops.attention(q, k, v, mask, inv))
-        attn = ops.matmul(ops.concat_feat(heads), params[pref + "wo"])
-        r1 = ops.layer_norm(
-            ops.add(h, attn), params[pref + "ln1_gamma"], params[pref + "ln1_beta"], config.ln_eps
-        )
-        pad1 = np.zeros((config.kernel1 - 1, config.d_model), dtype=dt)
-        o1 = ops.relu(
-            ops.causal_conv1d(
-                ops.concat_time(pad1, r1), params[pref + "conv1_w"], params[pref + "conv1_b"]
-            )
-        )
-        pad2 = np.zeros((config.kernel2 - 1, config.d_ff), dtype=dt)
-        o2 = ops.relu(
-            ops.causal_conv1d(
-                ops.concat_time(pad2, o1), params[pref + "conv2_w"], params[pref + "conv2_b"]
-            )
-        )
-        h = ops.layer_norm(
-            ops.add(r1, o2), params[pref + "ln2_gamma"], params[pref + "ln2_beta"], config.ln_eps
-        )
-    return ops.add_bias(ops.matmul(h, params["proj_w"]), params["proj_b"])
+    wqkv = [pack_qkv(ops, params, config, l) for l in range(config.n_layers)]
+    mel, _ = _decode(ops, features, params, wqkv, init_state(config), config, mask)
+    return mel
 
 
 def decode_parallel_masked(
@@ -635,7 +594,7 @@ def decode_parallel_masked(
             f"decode_parallel_masked: mask {mask.permitted.shape} != frames {len(features)}"
         )
     _check_finite(features, "decode_parallel_masked")
-    return forward_named(tensor, features, weights_to_named(model), cfg, mask)
+    return forward_named(tensor, features, model.named, cfg, mask)
 
 
 # ---------------------------------------------------------------------------

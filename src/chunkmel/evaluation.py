@@ -12,7 +12,7 @@ and flatness across chunk indices.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -191,7 +191,8 @@ def _boundary_jump(mel: np.ndarray, chunk_size: int) -> tuple[float, float]:
     t = len(mel)
     steps = np.mean(np.abs(np.diff(mel, axis=0)), axis=1)
     boundary = [c - 1 for c in range(chunk_size, t, chunk_size)]
-    interior = [i for i in range(t - 1) if i not in set(boundary)]
+    at_boundary = set(boundary)
+    interior = [i for i in range(t - 1) if i not in at_boundary]
     b = float(np.mean(steps[boundary])) if boundary else 0.0
     i = float(np.mean(steps[interior])) if interior else 0.0
     return b, i
@@ -233,15 +234,7 @@ class AblationReport:
     frac_broken: float
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seeds": self.seeds,
-            "max_abs_diff": self.max_abs_diff,
-            "boundary_jump_ablated": self.boundary_jump_ablated,
-            "boundary_jump_intact": self.boundary_jump_intact,
-            "interior_jump_ablated": self.interior_jump_ablated,
-            "frac_broken": self.frac_broken,
-        }
+        return asdict(self)
 
 
 def ablation_check(
@@ -306,20 +299,7 @@ class BenchResult:
     per_chunk_median_ms: list[float]
 
     def to_dict(self) -> dict:
-        return {
-            "first_chunk_latency_ms": self.first_chunk_latency_ms,
-            "last_chunk_latency_ms": self.last_chunk_latency_ms,
-            "parallel_latency_ms": self.parallel_latency_ms,
-            "total_frames": self.total_frames,
-            "audio_duration_s": self.audio_duration_s,
-            "rtf_incremental": self.rtf_incremental,
-            "rtf_parallel": self.rtf_parallel,
-            "repeats": self.repeats,
-            "chunk_ms_p50": self.chunk_ms_p50,
-            "chunk_ms_p90": self.chunk_ms_p90,
-            "chunk_ms_p99": self.chunk_ms_p99,
-            "per_chunk_median_ms": self.per_chunk_median_ms,
-        }
+        return asdict(self)
 
 
 def audio_duration_s(frames: int) -> float:

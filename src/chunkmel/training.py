@@ -310,7 +310,7 @@ def train(
                 "masks": [[m.chunk_size, m.past_size] for m in batch_masks],
             }
         )
-    final_model = decoder.named_to_weights(dec_cfg, params)
+    final_model = decoder.ModelWeights(dec_cfg, params)
     return TrainResult(
         model=final_model,
         log=log,
@@ -410,12 +410,7 @@ def run_mask_study(
             result = train(dec_cfg, tc, task=task)
             for c, (infer_chunk, infer_past) in enumerate(infer_configs):
                 infer_cfg = replace(dec_cfg, chunk_size=infer_chunk, past_size=infer_past)
-                infer_model = decoder.ModelWeights(
-                    config=infer_cfg,
-                    layers=result.model.layers,
-                    proj_w=result.model.proj_w,
-                    proj_b=result.model.proj_b,
-                )
+                infer_model = replace(result.model, config=infer_cfg)
                 values = []
                 for s in range(eval_batch):
                     chunks, _ = decoder.decode_incremental(eval_feats[s], infer_model)

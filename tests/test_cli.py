@@ -123,6 +123,12 @@ class TestConfigHandling:
         assert cli.cli_dispatch(["frobnicate"]) == 2
 
 
+def with_nan_at_2_1(w):
+    w = w.copy()
+    w[2, 1] = np.nan
+    return w
+
+
 class TestSynthCommand:
     def make_features(self, tmp_path, cfg, t=10, seed=1):
         feats = np.random.default_rng(seed).standard_normal((t, cfg.d_model))
@@ -229,6 +235,46 @@ class TestSynthCommand:
         )
         assert code == 3
         assert "more than past_size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        [
+            ("layers.0.wo", lambda w: np.zeros((8, 16)), "config needs f64 (8, 8)"),
+            ("layers.0.ln1_gamma", lambda w: w.astype(np.float32), "float32"),
+            ("layers.0.conv1_w", lambda w: w[:2], "config needs f64 (3, 8, 12)"),
+            ("proj_w", with_nan_at_2_1, "non-finite value at index (2, 1)"),
+        ],
+        ids=["wide-wo", "f32-gamma", "two-tap-conv", "nan-proj"],
+    )
+    def test_bad_model_weights_are_format_errors(self, tmp_path, capsys, name, bad, message):
+        model_path, cfg = tiny_model_file(tmp_path)
+        header, named = io.load_weights(model_path)
+        named[name] = bad(named[name])
+        io.save_weights(model_path, header, named)
+        code = cli.cli_dispatch(
+            ["synth", "--model", model_path, "--features", self.make_features(tmp_path, cfg),
+             "--out", str(tmp_path / "o.ctn")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert name in err and message in err
+
+    def test_non_finite_state_is_format_error(self, tmp_path, capsys):
+        cfg = decoder.DecoderConfig(**(TINY_DECODER | {"n_layers": 2}))
+        model_path = str(tmp_path / "m.cfpw")
+        model = decoder.init_weights(cfg, seed=0)
+        decoder.save_model(model_path, model)
+        feats = np.random.default_rng(4).standard_normal((8, cfg.d_model))
+        _, state = decoder.decode_incremental(feats, model)
+        state.layers[1].attn.pk[0][1, 2] = np.inf
+        state_path = str(tmp_path / "inf.cfps")
+        decoder.save_decoder_state(state_path, state)
+        code = cli.cli_dispatch(
+            ["synth", "--model", model_path, "--features", self.make_features(tmp_path, cfg),
+             "--out", str(tmp_path / "o.ctn"), "--state-in", state_path]
+        )
+        assert code == 3
+        assert "layer 1 head 0 key cache: non-finite value at index (1, 2)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("chunk_size", ["30", 0])
     def test_bad_model_header_is_format_error(self, tmp_path, capsys, chunk_size):

@@ -1,11 +1,13 @@
 """Incremental decoder: equivalence, caches, causality, state files,
 positional encoding, and receptive field analysis."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import reference
-from chunkmel import decoder, io, masks, tensor
+from chunkmel import autodiff, decoder, io, masks, tensor
 from chunkmel.tensor import ShapeError
 
 
@@ -121,8 +123,8 @@ class TestCaches:
             pk = state.layers[0].attn.pk[i]
             pv = state.layers[0].attn.pv[i]
             assert pk.shape == (5, cfg.d_head)
-            assert np.array_equal(pk, tensor.matmul(x0[7:12], model.layers[0].wk[i]))
-            assert np.array_equal(pv, tensor.matmul(x0[7:12], model.layers[0].wv[i]))
+            assert np.array_equal(pk, tensor.matmul(x0[7:12], model.named[f"layers.0.wk.{i}"]))
+            assert np.array_equal(pv, tensor.matmul(x0[7:12], model.named[f"layers.0.wv.{i}"]))
 
     def test_all_sentinel_grows_without_bound(self):
         cfg = tiny_cfg(past_size=masks.ALL)
@@ -278,14 +280,29 @@ class TestStateFiles:
         cfg = tiny_cfg()
         model = decoder.init_weights(cfg, seed=16)
         named = decoder.weights_to_named(model)
-        assert list(named) == decoder.weight_names(cfg)
-        back = decoder.named_to_weights(cfg, named)
-        assert np.array_equal(back.proj_w, model.proj_w)
-        assert np.array_equal(back.layers[1].wk[0], model.layers[1].wk[0])
-        missing = dict(named)
+        shapes = decoder.weight_shapes(cfg)
+        assert list(named) == list(shapes)
+        assert [a.shape for a in named.values()] == list(shapes.values())
+        back = decoder.ModelWeights(cfg, named)
+        for name in shapes:
+            assert np.array_equal(back.named[name], model.named[name])
+        # the map handed out is a copy: editing it leaves the model alone
+        named["layers.0.wq.0"] = np.zeros_like(named["layers.0.wq.0"])
+        assert not np.array_equal(model.named["layers.0.wq.0"], named["layers.0.wq.0"])
+        missing = decoder.weights_to_named(model)
         del missing["proj_b"]
-        with pytest.raises((KeyError, ValueError)):
-            decoder.named_to_weights(cfg, missing)
+        with pytest.raises(ValueError, match=r"missing \['proj_b'\]"):
+            decoder.ModelWeights(cfg, missing)
+        extra = decoder.weights_to_named(model) | {"layers.2.wo": named["layers.0.wo"]}
+        with pytest.raises(ValueError, match=r"unexpected \['layers.2.wo'\]"):
+            decoder.ModelWeights(cfg, extra)
+
+    def test_model_file_bytes_and_init_order_are_pinned(self, tmp_path):
+        path = str(tmp_path / "m.cfpw")
+        decoder.save_model(path, decoder.init_weights(decoder.DecoderConfig(), seed=0))
+        with open(path, "rb") as f:
+            digest = hashlib.sha256(f.read()).hexdigest()
+        assert digest == "743ad0d3e4895697ba484587370501bab0b0ffb40f013a333aaff71e56911df8"
 
 
 class TestPositionalEncoding:
@@ -323,50 +340,41 @@ class TestPositionalEncoding:
 class TestBlockUnits:
     def test_fused_projection_packs_heads_side_by_side(self):
         cfg = tiny_cfg(n_heads=2)
-        w = decoder.init_weights(cfg, seed=19).layers[0]
-        parts = np.split(w.wqkv, 3 * cfg.n_heads, axis=1)
-        for got, want in zip(parts, w.wq + w.wk + w.wv):
-            assert np.array_equal(got, want)
+        model = decoder.init_weights(cfg, seed=19)
+        for l in range(cfg.n_layers):
+            parts = np.split(model.wqkv[l], 3 * cfg.n_heads, axis=1)
+            names = [f"layers.{l}.{t}.{i}" for t in ("wq", "wk", "wv") for i in range(cfg.n_heads)]
+            for got, name in zip(parts, names):
+                assert np.array_equal(got, model.named[name])
 
     def test_single_chunk_zero_past_is_plain_attention(self):
         cfg = tiny_cfg(past_size=0, n_heads=2)
-        w = decoder.init_weights(cfg, seed=20).layers[0]
+        model = decoder.init_weights(cfg, seed=20)
+        w = model.named
         x = make_inputs(cfg, 6, seed=21)
         st = decoder.init_state(cfg).layers[0].attn
-        got, st2 = decoder.mha_chunk_step(x, w, st, cfg)
+        got, st2 = decoder.mha_chunk_step(tensor, x, model.wqkv[0], w["layers.0.wo"], st, cfg, None)
         heads = []
         for i in range(cfg.n_heads):
-            q = x @ w.wq[i]
-            k = x @ w.wk[i]
-            v = x @ w.wv[i]
+            q = x @ w[f"layers.0.wq.{i}"]
+            k = x @ w[f"layers.0.wk.{i}"]
+            v = x @ w[f"layers.0.wv.{i}"]
             logits = (q @ k.T) / np.sqrt(cfg.d_head)
             probs = reference.softmax_rows_mp(logits)
             heads.append(probs @ v)
-        expect = np.concatenate(heads, axis=1) @ w.wo
+        expect = np.concatenate(heads, axis=1) @ w["layers.0.wo"]
         assert np.max(np.abs(got - expect)) <= 1e-12
         assert all(len(pk) == 0 for pk in st2.pk)
 
     def test_zero_weights_block_is_double_layernorm(self):
         cfg = tiny_cfg()
-        w = decoder.init_weights(cfg, seed=22).layers[0]
-        z = lambda a: np.zeros_like(a)
-        w = decoder.LayerWeights(
-            wq=[z(a) for a in w.wq],
-            wk=[z(a) for a in w.wk],
-            wv=[z(a) for a in w.wv],
-            wo=z(w.wo),
-            conv1_w=z(w.conv1_w),
-            conv1_b=z(w.conv1_b),
-            conv2_w=z(w.conv2_w),
-            conv2_b=z(w.conv2_b),
-            ln1_gamma=np.ones_like(w.ln1_gamma),
-            ln1_beta=z(w.ln1_beta),
-            ln2_gamma=np.ones_like(w.ln2_gamma),
-            ln2_beta=z(w.ln2_beta),
-        )
+        named = {name: np.zeros(shape) for name, shape in decoder.weight_shapes(cfg).items()}
+        named["layers.0.ln1_gamma"] = np.ones(cfg.d_model)
+        named["layers.0.ln2_gamma"] = np.ones(cfg.d_model)
+        model = decoder.ModelWeights(cfg, named)
         x = make_inputs(cfg, 5, seed=23)
         st = decoder.init_state(cfg).layers[0]
-        y, _ = decoder.fft_block_step(x, w, st, cfg)
+        y, _ = decoder.fft_block_step(tensor, x, model.named, model.wqkv[0], 0, st, cfg, None)
         ones = np.ones(cfg.d_model)
         zeros = np.zeros(cfg.d_model)
         expect = tensor.layer_norm(
@@ -376,15 +384,40 @@ class TestBlockUnits:
 
     def test_chunked_ffn_equals_one_shot(self):
         cfg = tiny_cfg(chunk_size=3)
-        w = decoder.init_weights(cfg, seed=24).layers[0]
+        params = decoder.init_weights(cfg, seed=24).named
         x = make_inputs(cfg, 12, seed=25)
-        whole, _ = decoder.ffn_chunk_step(x, w, decoder.init_state(cfg).layers[0].conv, cfg)
         st = decoder.init_state(cfg).layers[0].conv
+        whole, _ = decoder.ffn_chunk_step(tensor, x, params, 0, st, cfg)
         parts = []
         for s in range(0, 12, 3):
-            out, st = decoder.ffn_chunk_step(x[s : s + 3], w, st, cfg)
+            out, st = decoder.ffn_chunk_step(tensor, x[s : s + 3], params, 0, st, cfg)
             parts.append(out)
         assert np.array_equal(np.concatenate(parts, axis=0), whole)
+
+    def test_every_route_runs_the_one_block_body(self, monkeypatch):
+        cfg = tiny_cfg(n_layers=3)
+        model = decoder.init_weights(cfg, seed=26)
+        x = make_inputs(cfg, 10, seed=27)
+        mask = masks.build_static_mask(10, cfg.chunk_size, cfg.past_size)
+        calls = []
+        block = decoder.fft_block_step
+
+        def counted(*args):
+            calls.append(args[4])
+            return block(*args)
+
+        monkeypatch.setattr(decoder, "fft_block_step", counted)
+        runs = [
+            lambda: decoder.decode_chunk(x[:4], model, decoder.init_state(cfg)),
+            lambda: decoder.decode_parallel_masked(x, model, mask),
+            lambda: autodiff.forward_record(
+                lambda ops, f, p: decoder.forward_named(ops, f, p, cfg, mask), x, model.named
+            ),
+        ]
+        for run in runs:
+            calls.clear()
+            run()
+            assert calls == list(range(cfg.n_layers))
 
 
 class TestReceptiveField:
