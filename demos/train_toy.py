@@ -21,9 +21,9 @@ from chunkmel import (
 
 
 def main() -> None:
-    dec_cfg = DecoderConfig()
-    tc = TrainConfig(steps=150, seed=0, frames=96, regime="static",
-                     static_chunk=30, static_past=5)
+    # static training uses the decoder config's chunk (30) and past sizes
+    dec_cfg = DecoderConfig(past_size=5)
+    tc = TrainConfig(steps=150, seed=0, frames=96, regime="static")
     res = train(dec_cfg, tc)
     print(f"trained {tc.steps} steps on chunk 30 / past 5")
     print(f"loss: {res.initial_loss:.4f} -> {res.final_loss:.4f}")

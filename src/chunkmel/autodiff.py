@@ -368,7 +368,7 @@ def backward(tape: Tape, seed_grad: np.ndarray | None = None) -> dict[str, np.nd
             prev = grads.get(id(parent))
             grads[id(parent)] = part if prev is None else prev + part
     return {
-        name: grads.get(id(node), np.zeros_like(node.value))
+        name: grads[id(node)] if id(node) in grads else np.zeros_like(node.value)
         for name, node in tape.params.items()
     }
 

@@ -22,31 +22,26 @@ RUN_CONFIG_SCHEMA = 1
 def default_run_config() -> dict:
     return {
         "schema": RUN_CONFIG_SCHEMA,
-        "seed": 0,
         "decoder": decoder.DecoderConfig().to_dict(),
         "train": training.TrainConfig().to_dict(),
     }
 
 
-def parse_run_config(doc: dict) -> tuple[decoder.DecoderConfig, training.TrainConfig, int]:
+def parse_run_config(doc: dict) -> tuple[decoder.DecoderConfig, training.TrainConfig]:
     if not isinstance(doc, dict):
         raise ValueError("run config must be a JSON object")
     if doc.get("schema") != RUN_CONFIG_SCHEMA:
         raise ValueError(f"unsupported config schema {doc.get('schema')!r}, expected {RUN_CONFIG_SCHEMA}")
-    unknown = set(doc) - {"schema", "seed", "decoder", "train"}
+    unknown = set(doc) - {"schema", "decoder", "train"}
     if unknown:
         raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-    dec = decoder.DecoderConfig.from_dict(doc.get("decoder", {}))
-    train_doc = doc.get("train", {})
-    if not isinstance(train_doc, dict):
-        raise ValueError(f"train config must be a JSON object, got {type(train_doc).__name__}")
-    merged_train = training.TrainConfig().to_dict()
-    merged_train.update(train_doc)
-    train_cfg = training.TrainConfig.from_dict(merged_train)
-    return dec, train_cfg, int(doc.get("seed", 0))
+    return (
+        decoder.DecoderConfig.from_dict(doc.get("decoder", {})),
+        training.TrainConfig.from_dict(doc.get("train", {})),
+    )
 
 
-def load_run_config(path: str | None) -> tuple[decoder.DecoderConfig, training.TrainConfig, int]:
+def load_run_config(path: str | None) -> tuple[decoder.DecoderConfig, training.TrainConfig]:
     if path is None:
         return parse_run_config(default_run_config())
     with open(path, "r", encoding="utf-8") as f:
@@ -199,18 +194,9 @@ def _cmd_mask(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    dec_cfg, train_cfg, _seed = load_run_config(args.config)
-    updates = {}
-    if args.mask is not None:
-        updates["regime"] = args.mask
-    if args.steps is not None:
-        updates["steps"] = args.steps
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if updates:
-        merged = train_cfg.to_dict()
-        merged.update(updates)
-        train_cfg = training.TrainConfig.from_dict(merged)
+    dec_cfg, train_cfg = load_run_config(args.config)
+    flags = {"regime": args.mask, "steps": args.steps, "seed": args.seed}
+    train_cfg = replace(train_cfg, **{k: v for k, v in flags.items() if v is not None})
     result = training.train(dec_cfg, train_cfg)
     decoder.save_model(args.out, result.model)
     if args.log:
@@ -288,7 +274,7 @@ def _cmd_msd(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    dec_cfg, train_cfg, _seed = load_run_config(args.config)
+    dec_cfg, train_cfg = load_run_config(args.config)
     regimes = [("static", 30, p) for p in (0, 5, 15, 30)] + [("dynamic",)]
     infer = [(30, p) for p in (0, 5, 15, 30, 60, 90)] + [(30, masks.ALL)]
     table = training.run_mask_study(
@@ -307,7 +293,7 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    dec_cfg, _train_cfg, _seed = load_run_config(args.config)
+    dec_cfg, _ = load_run_config(args.config)
     report = evaluation.ablation_check(dec_cfg, seeds=list(range(args.seeds)), mode=args.mode)
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     return 0

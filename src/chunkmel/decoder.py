@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -45,15 +45,33 @@ class NonFiniteInputError(ValueError):
     """A feature array holds NaN or infinity."""
 
 
-def _check_finite(features: np.ndarray, where: str, offset: int | None = None) -> None:
-    """Reject NaN or infinite features, naming the first bad frame.
+def _non_finite_at(arr: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first NaN or infinity in `arr`, or None if it has none."""
+    ok = np.isfinite(arr)
+    if ok.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(ok), arr.shape))
+
+
+def _check_features(
+    features: np.ndarray, config: DecoderConfig, where: str, offset: int | None = None
+) -> None:
+    """The check at each decode route's entry: `features` must be a
+    non-empty (frames, d_model) array of the model's dtype (ShapeError)
+    with no NaN or infinity (NonFiniteInputError, naming the first bad
+    frame). A valid array costs one `isfinite` pass.
 
     `offset` is the stream frame of a chunk's first row; the message then
     gives both the stream frame and the row within the chunk.
     """
-    if np.isfinite(features).all():
+    if features.ndim != 2 or features.shape[1] != config.d_model or len(features) == 0:
+        raise ShapeError(f"{where}: features shape {features.shape} != (T >= 1, {config.d_model})")
+    if features.dtype != config.np_dtype:
+        raise ShapeError(f"{where}: features are {features.dtype}, the model is {config.np_dtype}")
+    at = _non_finite_at(features)
+    if at is None:
         return
-    row = int(np.argmin(np.isfinite(features).all(axis=1)))
+    row = at[0]
     if offset is None:
         raise NonFiniteInputError(f"{where}: non-finite feature at frame {row}")
     raise NonFiniteInputError(
@@ -122,36 +140,40 @@ class DecoderConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "DecoderConfig":
-        check_config_doc(cls, doc, "config")
-        return cls(**doc)
+        return config_from_doc(cls, doc, "config")
 
 
 def _accepts(tp, value) -> bool:
     """Whether a JSON value fits a field annotation. An int fits a float
-    field; a bool fits only a bool field; a list fits a tuple field."""
+    field; a bool fits only a bool field; a list fits a tuple field whose
+    members it fits element by element; a value fits a union if it fits
+    one of its members."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return any(_accepts(a, value) for a in typing.get_args(tp))
     if tp is type(None):
         return value is None
     if tp in (int, float) and isinstance(value, bool):
         return False
     if tp is float:
         return isinstance(value, (int, float))
-    origin = typing.get_origin(tp) or tp
-    if origin is tuple:
+    if typing.get_origin(tp) is tuple:
         args = typing.get_args(tp)
         if not isinstance(value, (list, tuple)):
             return False
-        if not args or Ellipsis in args:
-            return True
+        if args[-1] is Ellipsis:
+            return all(_accepts(args[0], v) for v in value)
         return len(value) == len(args) and all(map(_accepts, args, value))
-    return isinstance(value, origin)
+    return isinstance(value, tp)
 
 
-def check_config_doc(cls, doc: dict, what: str) -> None:
-    """Reject a config document with unknown keys or mistyped values.
+def config_from_doc(cls, doc: dict, what: str):
+    """Build the config dataclass `cls` from a JSON object.
 
-    `cls` is a config dataclass; its field annotations give the accepted
-    types. Raises ValueError, which the CLI and `load_model` report as a
-    format error (exit 3).
+    The field annotations give the accepted types; a nested config
+    dataclass is read from its own object, and lists become tuples.
+    Missing fields keep their defaults. Unknown keys and mistyped values
+    raise ValueError, which the CLI and `load_model` report as a format
+    error (exit 3).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
@@ -159,12 +181,16 @@ def check_config_doc(cls, doc: dict, what: str) -> None:
     unknown = set(doc) - set(hints)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    fields = {}
     for name, value in doc.items():
         tp = hints[name]
-        union = typing.get_origin(tp) in (typing.Union, types.UnionType)
-        allowed = typing.get_args(tp) if union else (tp,)
-        if not any(_accepts(a, value) for a in allowed):
+        if is_dataclass(tp):
+            fields[name] = config_from_doc(tp, value, name)
+        elif _accepts(tp, value):
+            fields[name] = tuple(value) if isinstance(value, list) else value
+        else:
             raise ValueError(f"{what} field {name!r}: {value!r} is not of type {tp}")
+    return cls(**fields)
 
 
 HEAD_TENSORS = ("wq", "wk", "wv")
@@ -196,14 +222,6 @@ def weight_shapes(config: DecoderConfig) -> dict[str, tuple[int, ...]]:
     shapes["proj_w"] = (d, config.mel_bins)
     shapes["proj_b"] = (config.mel_bins,)
     return shapes
-
-
-def _non_finite_at(arr: np.ndarray) -> tuple[int, ...] | None:
-    """Index of the first NaN or infinity in `arr`, or None if it has none."""
-    ok = np.isfinite(arr)
-    if ok.all():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmin(ok), arr.shape))
 
 
 def pack_qkv(ops, params, config: DecoderConfig, l: int):
@@ -527,13 +545,8 @@ def decode_chunk(
     chunk: np.ndarray, model: ModelWeights, state: DecoderState
 ) -> tuple[np.ndarray, DecoderState]:
     """One feature chunk to one Mel chunk, advancing the stream state."""
-    cfg = model.config
-    if chunk.ndim != 2 or chunk.shape[1] != cfg.d_model:
-        raise ShapeError(f"decode_chunk: chunk shape {chunk.shape} != (*, {cfg.d_model})")
-    if len(chunk) == 0:
-        raise ShapeError("decode_chunk: empty chunk")
-    _check_finite(chunk, "decode_chunk", state.frame_offset)
-    return _decode(tensor, chunk, model.named, model.wqkv, state, cfg, None)
+    _check_features(chunk, model.config, "decode_chunk", state.frame_offset)
+    return _decode(tensor, chunk, model.named, model.wqkv, state, model.config, None)
 
 
 def decode_incremental(
@@ -584,17 +597,12 @@ def decode_parallel_masked(
     features: np.ndarray, model: ModelWeights, mask: masks.ChunkMask
 ) -> np.ndarray:
     """Whole-sequence decode under a chunk mask; the oracle route."""
-    cfg = model.config
-    if features.ndim != 2 or features.shape[1] != cfg.d_model:
-        raise ShapeError(
-            f"decode_parallel_masked: features shape {features.shape} != (T, {cfg.d_model})"
-        )
+    _check_features(features, model.config, "decode_parallel_masked")
     if mask.permitted.shape != (len(features), len(features)):
         raise ShapeError(
             f"decode_parallel_masked: mask {mask.permitted.shape} != frames {len(features)}"
         )
-    _check_finite(features, "decode_parallel_masked")
-    return forward_named(tensor, features, model.named, cfg, mask)
+    return forward_named(tensor, features, model.named, model.config, mask)
 
 
 # ---------------------------------------------------------------------------

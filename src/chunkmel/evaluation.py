@@ -25,6 +25,12 @@ SAMPLE_RATE = 22050
 # not supply one; chunk_size 10 gives 60 chunks at the T=600 bench length.
 DEFAULT_BENCH_CONFIG = decoder.DecoderConfig(chunk_size=10, past_size=10, mel_bins=80)
 
+# Largest incremental-vs-parallel difference a sweep cell may show, per dtype.
+SWEEP_TOL = {"f64": 1e-9, "f32": 1e-4}
+SWEEP_MEL_BINS = 8
+# An ablated decode differing from the intact one by more than this is broken.
+BREAK_TOL = 1e-3
+
 
 def msd(a: np.ndarray, b: np.ndarray, mean_squared: bool = False) -> float:
     """Spectral distance: mean over frames of the per-frame L2 norm.
@@ -71,26 +77,13 @@ class SweepReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        def cell(c: SweepCell) -> dict:
-            return {
-                "n_layers": c.n_layers,
-                "n_heads": c.n_heads,
-                "d_model": c.d_model,
-                "chunk_size": c.chunk_size,
-                "past_size": c.past_size,
-                "frames": c.frames,
-                "seed": c.seed,
-                "max_abs_diff": c.max_abs_diff,
-                "argmax": list(c.argmax),
-            }
-
         return {
             "dtype": self.dtype,
             "tol": self.tol,
             "n_cells": len(self.cells),
             "max_abs_diff": self.max_abs_diff,
             "ok": self.ok,
-            "failures": [cell(c) for c in self.failures],
+            "failures": [asdict(c) for c in self.failures],
             "elapsed_s": self.elapsed_s,
         }
 
@@ -118,17 +111,17 @@ def equivalence_sweep(
     grid: list[tuple[int, int, int, int, int, int]] | None = None,
     seeds: tuple[int, ...] = (0,),
     dtype: str = "f64",
-    tol: float | None = None,
-    mel_bins: int = 8,
 ) -> SweepReport:
     """Incremental vs masked-parallel max |difference| over a config grid.
 
     Every cell decodes random features both ways with fresh random
     weights; a cell above tolerance lands in `failures` with its config,
-    seed, and argmax position so it can be replayed directly.
+    seed, and argmax position so it can be replayed directly. The
+    tolerance is SWEEP_TOL[dtype].
     """
-    if tol is None:
-        tol = 1e-9 if dtype == "f64" else 1e-4
+    if dtype not in SWEEP_TOL:
+        raise ValueError(f"dtype must be one of {sorted(SWEEP_TOL)}, got {dtype!r}")
+    tol = SWEEP_TOL[dtype]
     if grid is None:
         grid = default_grid()
     start = time.perf_counter()
@@ -144,7 +137,7 @@ def equivalence_sweep(
                 d_ff=2 * d_model,
                 chunk_size=chunk,
                 past_size=past,
-                mel_bins=mel_bins,
+                mel_bins=SWEEP_MEL_BINS,
                 dtype=dtype,
             )
             model = decoder.init_weights(cfg, seed=seed)
@@ -242,14 +235,13 @@ def ablation_check(
     seeds: list[int],
     mode: str,
     frames: int = 60,
-    break_tol: float = 1e-3,
 ) -> AblationReport:
     """Quantify how much dropping a cache between chunks changes output.
 
     For each seed: decode intact, decode with the cache discarded, record
     max |difference| and the boundary-vs-interior jump statistics.
     `frac_broken` is the fraction of seeds whose difference exceeds
-    `break_tol`.
+    BREAK_TOL.
     """
     if mode not in ("drop_kv", "drop_conv", "drop_both"):
         raise ValueError(f"unknown ablation mode {mode!r}")
@@ -267,7 +259,7 @@ def ablation_check(
         jump_abl.append(b_a)
         jump_int.append(b_i)
         interior_abl.append(i_a)
-    frac = float(np.mean([d > break_tol for d in max_diffs]))
+    frac = float(np.mean([d > BREAK_TOL for d in max_diffs]))
     return AblationReport(
         mode=mode,
         seeds=list(seeds),

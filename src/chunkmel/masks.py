@@ -11,6 +11,7 @@ which is what lets a whole chunk attend one shared cache at inference.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,7 @@ class DynamicMaskPolicy:
     past size a uniform choice of multipliers of the drawn chunk size."""
 
     chunk_range: tuple[int, int] = (1, 50)
-    past_multipliers: tuple = (0, 0.25, 0.5, 1, 2, 3, ALL)
-    seed: int | None = None
+    past_multipliers: tuple[float | str, ...] = (0, 0.25, 0.5, 1, 2, 3, ALL)
 
     def __post_init__(self):
         lo, hi = self.chunk_range
@@ -64,9 +64,12 @@ class DynamicMaskPolicy:
             raise ValueError(f"invalid chunk_range {self.chunk_range}")
         if not self.past_multipliers:
             raise ValueError("past_multipliers must be non-empty")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+        for m in self.past_multipliers:
+            number = isinstance(m, numbers.Real) and not isinstance(m, bool)
+            if m != ALL and not (number and 0 <= m < math.inf):
+                raise ValueError(
+                    f"past_multipliers entries must be finite numbers >= 0 or {ALL!r}, got {m!r}"
+                )
 
 
 def _check_past(past_size: PastSize) -> None:

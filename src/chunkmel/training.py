@@ -7,7 +7,8 @@ it and differences between mask regimes come from the masks, not task
 difficulty. Targets are scaled into [-4, 4].
 
 Training runs the parallel masked forward under either a fixed (static)
-mask or a per-sample random (dynamic) mask, with Adam, coupled L2 weight
+mask, built from the decoder config's chunk_size and past_size, or a
+per-sample random (dynamic) mask, with Adam, coupled L2 weight
 decay, and global-norm gradient clipping. Everything is seeded; a run
 reproduces bit for bit on the same machine and BLAS build, with one BLAS
 thread or two. It is not promised to across machines: the backward
@@ -25,6 +26,10 @@ import numpy as np
 from . import autodiff, decoder, masks, tensor
 
 LAG_TAPS = ((0, 1.0), (3, 0.5), (8, 0.25))
+# Input sinusoid frequencies, rad/frame; see `make_task` for the band.
+FREQ_RANGE = (0.3, 2.8)
+# Held-out utterances per seed that score each mask-study cell.
+STUDY_EVAL_BATCH = 4
 
 
 class TrainingError(RuntimeError):
@@ -41,22 +46,16 @@ class SyntheticTask:
     mix_a: np.ndarray
     mix_b: np.ndarray
     target_scale: float
-    freq_range: tuple[float, float] = (0.3, 2.8)
 
 
-def make_task(
-    d_model: int,
-    mel_bins: int,
-    seed: int,
-    freq_range: tuple[float, float] = (0.3, 2.8),
-) -> SyntheticTask:
+def make_task(d_model: int, mel_bins: int, seed: int) -> SyntheticTask:
     """Draw the mixing matrices and derive the [-4, 4] target scale.
 
     Inputs are bounded by 1 per dim, so |target| <= cA * (1 + 0.75 * cB)
     before scaling, with cA, cB the max column L1 norms. Dividing 4 by
     that bound guarantees the standardized range.
 
-    The default band is broadband on purpose: with frequencies up to
+    The FREQ_RANGE band is broadband on purpose: with frequencies up to
     2.8 rad/frame the lagged copies at 3 and 8 frames decorrelate from
     their neighbors, so a model must attend to those frames rather than
     interpolate, and attending outside the trained window costs accuracy.
@@ -74,7 +73,6 @@ def make_task(
         mix_a=mix_a,
         mix_b=mix_b,
         target_scale=4.0 / bound,
-        freq_range=freq_range,
     )
 
 
@@ -87,7 +85,7 @@ def generate_batch(
     sinusoids of amplitude 0.25. Targets apply the task's lag taps to B
     and project through A, frame for frame.
     """
-    lo, hi = task.freq_range
+    lo, hi = FREQ_RANGE
     omega = rng.uniform(lo, hi, size=(batch, task.d_model, 4))
     phase = rng.uniform(0.0, 2.0 * math.pi, size=(batch, task.d_model, 4))
     steps = np.arange(t, dtype=np.float64)
@@ -120,8 +118,6 @@ class TrainConfig:
     steps: int = 2000
     seed: int = 0
     regime: str = "static"
-    static_chunk: int | None = None
-    static_past: int | str | None = None
     policy: masks.DynamicMaskPolicy = field(default_factory=masks.DynamicMaskPolicy)
     frames: int = 96
 
@@ -136,18 +132,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrainConfig":
-        doc = dict(doc)
-        policy = doc.pop("policy", None)
-        decoder.check_config_doc(cls, doc, "train config")
-        if policy is not None:
-            decoder.check_config_doc(masks.DynamicMaskPolicy, policy, "policy")
-            p = dict(policy)
-            if "chunk_range" in p:
-                p["chunk_range"] = tuple(p["chunk_range"])
-            if "past_multipliers" in p:
-                p["past_multipliers"] = tuple(p["past_multipliers"])
-            doc["policy"] = masks.DynamicMaskPolicy(**p)
-        return cls(**doc)
+        return decoder.config_from_doc(cls, doc, "train config")
 
 
 @dataclass
@@ -209,10 +194,7 @@ def _sample_masks(
     t: int, batch: int, train_cfg: TrainConfig, dec_cfg: decoder.DecoderConfig, rng
 ) -> list[masks.ChunkMask]:
     if train_cfg.regime == "static":
-        chunk = train_cfg.static_chunk or dec_cfg.chunk_size
-        past = train_cfg.static_past if train_cfg.static_past is not None else dec_cfg.past_size
-        mask = masks.build_static_mask(t, chunk, past)
-        return [mask] * batch
+        return [masks.build_static_mask(t, dec_cfg.chunk_size, dec_cfg.past_size)] * batch
     return [masks.sample_dynamic_mask(t, train_cfg.policy, rng) for _ in range(batch)]
 
 
@@ -371,12 +353,12 @@ def run_mask_study(
     steps: int,
     seeds: list[int],
     frames: int = 96,
-    eval_batch: int = 4,
 ) -> StudyTable:
     """Train one model per (regime, seed), decode under each inference
     config, and score against the task's ground-truth targets.
 
-    Regimes are ("static", chunk, past) or ("dynamic",). The trend block
+    Regimes are ("static", chunk, past), trained with the decoder config's
+    chunk and past sizes set to those, or ("dynamic",). The trend block
     compares each static regime's matched inference column against its
     most past-mismatched column (|past difference| >= 85 frames), the
     quantity the study exists to expose.
@@ -393,26 +375,19 @@ def run_mask_study(
         task = make_task(dec_cfg.d_model, dec_cfg.mel_bins, seed=9001 + seed)
         eval_rng = np.random.default_rng(4242 + seed)
         eval_feats, eval_targs = generate_batch(
-            task, frames, eval_batch, eval_rng, dtype=dec_cfg.dtype
+            task, frames, STUDY_EVAL_BATCH, eval_rng, dtype=dec_cfg.dtype
         )
         for r, regime in enumerate(train_regimes):
+            train_dec = dec_cfg
             if regime[0] == "static":
-                tc = TrainConfig(
-                    steps=steps,
-                    seed=seed,
-                    regime="static",
-                    static_chunk=regime[1],
-                    static_past=regime[2],
-                    frames=frames,
-                )
-            else:
-                tc = TrainConfig(steps=steps, seed=seed, regime="dynamic", frames=frames)
-            result = train(dec_cfg, tc, task=task)
+                train_dec = replace(dec_cfg, chunk_size=regime[1], past_size=regime[2])
+            tc = TrainConfig(steps=steps, seed=seed, regime=regime[0], frames=frames)
+            result = train(train_dec, tc, task=task)
             for c, (infer_chunk, infer_past) in enumerate(infer_configs):
                 infer_cfg = replace(dec_cfg, chunk_size=infer_chunk, past_size=infer_past)
                 infer_model = replace(result.model, config=infer_cfg)
                 values = []
-                for s in range(eval_batch):
+                for s in range(STUDY_EVAL_BATCH):
                     chunks, _ = decoder.decode_incremental(eval_feats[s], infer_model)
                     mel = np.concatenate(chunks, axis=0)
                     values.append(evaluation.msd(mel, eval_targs[s]))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from chunkmel import cli, decoder, io
+from chunkmel import cli, decoder, io, training
 
 TINY_DECODER = {
     "n_layers": 1,
@@ -21,7 +21,6 @@ TINY_DECODER = {
 def write_config(tmp_path, name="cfg.json", train=None, decoder_doc=None, **extra):
     doc = {
         "schema": 1,
-        "seed": 0,
         "decoder": TINY_DECODER if decoder_doc is None else decoder_doc,
         "train": {"steps": 2, "frames": 12, "batch_size": 2} if train is None else train,
     }
@@ -93,9 +92,39 @@ class TestConfigHandling:
     def test_dump_config_roundtrips(self, capsys):
         assert cli.cli_dispatch(["--dump-config"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        dec, train, seed = cli.parse_run_config(doc)
+        dec, train = cli.parse_run_config(doc)
         assert dec == decoder.DecoderConfig()
-        assert seed == 0
+        assert train == training.TrainConfig()
+
+    def test_dump_config_holds_24_settable_values(self, capsys):
+        assert cli.cli_dispatch(["--dump-config"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+
+        def leaves(d):
+            return sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
+
+        assert leaves({k: v for k, v in doc.items() if k != "schema"}) == 24
+
+    @pytest.mark.parametrize(
+        "sections, key",
+        [({"seed": 0}, "seed"), ({"train": {"static_chunk": 10}}, "static_chunk"),
+         ({"train": {"static_past": 5}}, "static_past"),
+         ({"train": {"policy": {"seed": 3}}}, "seed")],
+    )
+    def test_removed_key_is_format_error_naming_it(self, tmp_path, capsys, sections, key):
+        cfg = write_config(tmp_path, **sections)
+        assert cli.cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "m.cfpw")]) == 3
+        err = capsys.readouterr().err
+        assert "unknown" in err and repr(key) in err
+
+    @pytest.mark.parametrize("multipliers", [["x"], [-1], [0.5, None]])
+    def test_bad_past_multipliers_are_format_errors(self, tmp_path, capsys, multipliers):
+        train = {"steps": 1, "frames": 12, "batch_size": 1, "regime": "dynamic",
+                 "policy": {"past_multipliers": multipliers}}
+        cfg = write_config(tmp_path, train=train)
+        assert cli.cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "m.cfpw")]) == 3
+        err = capsys.readouterr().err
+        assert "past_multipliers" in err and "Traceback" not in err
 
     def test_unknown_key_is_format_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bogus=1)
@@ -153,6 +182,18 @@ class TestSynthCommand:
         par = io.load_tensor(par_path)
         assert inc.shape == (10, cfg.mel_bins)
         assert np.max(np.abs(inc - par)) <= 1e-9
+
+    def test_feature_dtype_mismatch_is_usage_error(self, tmp_path, capsys):
+        model_path, cfg = tiny_model_file(tmp_path)
+        feats_path = str(tmp_path / "f32.ctn")
+        io.save_tensor(feats_path, np.zeros((6, cfg.d_model), dtype=np.float32))
+        for mode in ("incremental", "parallel"):
+            code = cli.cli_dispatch(
+                ["synth", "--model", model_path, "--features", feats_path,
+                 "--mode", mode, "--out", str(tmp_path / "o.ctn")]
+            )
+            assert code == 2
+            assert "features are float32, the model is float64" in capsys.readouterr().err
 
     def test_state_resume_matches_uninterrupted(self, tmp_path):
         model_path, cfg = tiny_model_file(tmp_path)

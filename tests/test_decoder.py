@@ -545,3 +545,14 @@ class TestConfig:
         feats[13] = 0.0
         with pytest.raises(decoder.NonFiniteInputError, match=r"frame 17 \(row 1 of the chunk"):
             decoder.decode_incremental(feats[12:], model, state)
+
+    def test_features_of_another_dtype_are_rejected_at_the_route(self):
+        cfg = tiny_cfg()
+        model = decoder.init_weights(cfg, seed=0)
+        feats = make_inputs(cfg, 12).astype(np.float32)
+        mask = masks.build_static_mask(12, cfg.chunk_size, cfg.past_size)
+        both = "features are float32, the model is float64"
+        with pytest.raises(ShapeError, match=f"decode_parallel_masked: {both}"):
+            decoder.decode_parallel_masked(feats, model, mask)
+        with pytest.raises(ShapeError, match=f"decode_chunk: {both}"):
+            decoder.decode_chunk(feats[:4], model, decoder.init_state(cfg))

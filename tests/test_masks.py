@@ -95,23 +95,23 @@ class TestStaticMask:
 
 class TestDynamicSampling:
     def test_degenerate_policy_is_static(self):
-        policy = masks.DynamicMaskPolicy(chunk_range=(3, 3), past_multipliers=(1,), seed=7)
-        rng = policy.rng()
+        policy = masks.DynamicMaskPolicy(chunk_range=(3, 3), past_multipliers=(1,))
+        rng = np.random.default_rng(7)
         drawn = masks.sample_dynamic_mask(11, policy, rng)
         ref = masks.build_static_mask(11, 3, 3)
         assert np.array_equal(drawn.permitted, ref.permitted)
         assert (drawn.chunk_size, drawn.past_size) == (3, 3)
 
     def test_fractional_multiplier_floors(self):
-        policy = masks.DynamicMaskPolicy(chunk_range=(30, 30), past_multipliers=(0.25,), seed=0)
-        drawn = masks.sample_dynamic_mask(60, policy, policy.rng())
+        policy = masks.DynamicMaskPolicy(chunk_range=(30, 30), past_multipliers=(0.25,))
+        drawn = masks.sample_dynamic_mask(60, policy, np.random.default_rng(0))
         assert drawn.past_size == 7
-        policy = masks.DynamicMaskPolicy(chunk_range=(5, 5), past_multipliers=(0.5,), seed=0)
-        assert masks.sample_dynamic_mask(10, policy, policy.rng()).past_size == 2
+        policy = masks.DynamicMaskPolicy(chunk_range=(5, 5), past_multipliers=(0.5,))
+        assert masks.sample_dynamic_mask(10, policy, np.random.default_rng(0)).past_size == 2
 
     def test_all_multiplier(self):
-        policy = masks.DynamicMaskPolicy(chunk_range=(2, 2), past_multipliers=(masks.ALL,), seed=1)
-        drawn = masks.sample_dynamic_mask(6, policy, policy.rng())
+        policy = masks.DynamicMaskPolicy(chunk_range=(2, 2), past_multipliers=(masks.ALL,))
+        drawn = masks.sample_dynamic_mask(6, policy, np.random.default_rng(1))
         assert drawn.past_size == masks.ALL
         assert np.array_equal(
             drawn.permitted, masks.build_static_mask(6, 2, masks.ALL).permitted
@@ -120,8 +120,8 @@ class TestDynamicSampling:
     def test_chunk_size_histogram_uniform(self):
         # 10^4 draws; each of the 50 chunk sizes should land within 3
         # sigma of the binomial expectation (n=10^4, p=1/50).
-        policy = masks.DynamicMaskPolicy(seed=12345)
-        rng = policy.rng()
+        policy = masks.DynamicMaskPolicy()
+        rng = np.random.default_rng(12345)
         n = 10_000
         counts = np.zeros(51, dtype=int)
         for _ in range(n):
@@ -136,8 +136,8 @@ class TestDynamicSampling:
         # Chunk sizes >= 4 make every multiplier recoverable from
         # (chunk, past): 0, floor(c/4), floor(c/2), c, 2c, 3c are
         # pairwise distinct there.
-        policy = masks.DynamicMaskPolicy(chunk_range=(4, 50), seed=999)
-        rng = policy.rng()
+        policy = masks.DynamicMaskPolicy(chunk_range=(4, 50))
+        rng = np.random.default_rng(999)
         n = 10_000
         counts = dict.fromkeys(policy.past_multipliers, 0)
         for _ in range(n):
@@ -156,10 +156,10 @@ class TestDynamicSampling:
             assert abs(got - n * p) <= 3 * sigma, (mult, got)
 
     def test_seeded_draws_reproducible(self):
-        policy = masks.DynamicMaskPolicy(seed=42)
+        policy = masks.DynamicMaskPolicy()
 
         def draw_sequence():
-            rng = policy.rng()
+            rng = np.random.default_rng(42)
             return [
                 (m.chunk_size, m.past_size)
                 for m in (masks.sample_dynamic_mask(8, policy, rng) for _ in range(20))
@@ -174,6 +174,9 @@ class TestDynamicSampling:
             masks.DynamicMaskPolicy(chunk_range=(6, 5))
         with pytest.raises(ValueError):
             masks.DynamicMaskPolicy(past_multipliers=())
+        for bad in ("x", -1, float("nan"), float("inf"), True, None):
+            with pytest.raises(ValueError, match="past_multipliers"):
+                masks.DynamicMaskPolicy(past_multipliers=(1, bad))
 
 
 class TestRendering:

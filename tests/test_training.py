@@ -1,6 +1,7 @@
 """Trainer: reproducibility, optimizer bookkeeping, task generation,
 regimes, and the mask study plumbing."""
 
+import json
 import os
 import subprocess
 import sys
@@ -108,7 +109,8 @@ class TestReproducibility:
             assert isinstance(entry["loss"], float) and entry["loss"] >= 0
             assert entry["grad_norm"] > 0
             assert isinstance(entry["clipped"], bool)
-            assert len(entry["masks"]) == 3
+            # static training uses the decoder config's chunk and past sizes
+            assert entry["masks"] == [[dec.chunk_size, dec.past_size]] * 3
         assert res.initial_loss == res.log[0]["loss"]
         assert res.final_loss == res.log[-1]["loss"]
 
@@ -178,10 +180,7 @@ class TestTrainStep:
             task = training.make_task(dec.d_model, dec.mel_bins, seed=100 + seed)
             rng = np.random.default_rng(seed)
             feats, targets = training.generate_batch(task, 48, 1, rng, dtype=dec.dtype)
-            tc = training.TrainConfig(
-                steps=1, seed=seed, regime="static", static_chunk=12, static_past=6,
-                frames=48, batch_size=1,
-            )
+            tc = training.TrainConfig(steps=1, seed=seed, regime="static", frames=48, batch_size=1)
             params = decoder.weights_to_named(decoder.init_weights(dec, seed=seed))
             opt = training.adam_init(params)
             mask = masks.build_static_mask(48, 12, 6)
@@ -197,7 +196,7 @@ class TestTrainStep:
         t = 12
         feats, targets = training.generate_batch(task, t, 2, rng, dtype=dec.dtype)
         params = decoder.weights_to_named(decoder.init_weights(dec, seed=2))
-        tc = training.TrainConfig(steps=1, regime="static", static_chunk=t, static_past="all", frames=t, batch_size=2)
+        tc = training.TrainConfig(steps=1, regime="static", frames=t, batch_size=2)
         mask = masks.build_static_mask(t, t, masks.ALL)
         loss, _, _, _ = training.train_step(
             params, dec, tc, feats, targets, [mask, mask], training.adam_init(params)
@@ -270,10 +269,10 @@ class TestSyntheticTask:
     def test_train_config_dict_roundtrip(self):
         tc = training.TrainConfig(
             steps=5, seed=9, regime="dynamic",
-            policy=masks.DynamicMaskPolicy(chunk_range=(2, 9), seed=3),
+            policy=masks.DynamicMaskPolicy(chunk_range=(2, 9), past_multipliers=(0, 1.5, masks.ALL)),
         )
-        back = training.TrainConfig.from_dict(tc.to_dict())
-        assert back == tc
+        assert training.TrainConfig.from_dict(tc.to_dict()) == tc
+        assert training.TrainConfig.from_dict(json.loads(json.dumps(tc.to_dict()))) == tc
         with pytest.raises(ValueError):
             training.TrainConfig.from_dict(tc.to_dict() | {"momentum": 0.9})
 
