@@ -236,14 +236,23 @@ def _cmd_synth(args) -> int:
             state = decoder.load_decoder_state(args.state_in, cfg)
         chunks, final_state = decoder.decode_incremental(feats, model, state)
         mel = np.concatenate(chunks, axis=0)
-        if args.state_out:
-            decoder.save_decoder_state(args.state_out, final_state)
     else:
         if args.state_in or args.state_out:
             print("state snapshots apply to incremental mode only", file=sys.stderr)
             return 2
         mask = masks.build_static_mask(len(feats), cfg.chunk_size, cfg.past_size)
         mel = decoder.decode_parallel_masked(feats, model, mask)
+    # finite inputs can still overflow, e.g. a weight or feature near 1e300
+    finite = np.isfinite(mel).all(axis=1)
+    if not finite.all():
+        print(
+            f"error: decoded Mel is non-finite from frame {int(np.argmin(finite))}: the model, "
+            "features or state hold values too large to decode",
+            file=sys.stderr,
+        )
+        return 3
+    if args.state_out:
+        decoder.save_decoder_state(args.state_out, final_state)
     io.save_tensor(args.out, mel)
     return 0
 

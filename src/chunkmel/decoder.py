@@ -17,8 +17,10 @@ Weights live in one name -> tensor map, the CFPW layout of
 `weight_shapes`. `ModelWeights` checks it against the config and packs
 each layer's `wq | wk | wv` heads side by side once, so a layer makes one
 QKV product; `forward_named` packs in the graph, so gradients reach the
-per-head tensors. Under a mask, `tensor.attention` scores each block of
-queries only against the keys it may see: O(T·window), not O(T²).
+per-head tensors; `decode_parallel_masked` multiplies by the packed
+projections. Under a mask, `tensor.attention` scores each chunk only
+against its own key window, a run of chunks in one batched product:
+O(T·window), not O(T²).
 
 Every product and reduction sums in the same left-to-right order on both
 routes (a fused QKV or conv product element sums what a per-head or
@@ -596,13 +598,19 @@ def forward_named(ops, features, params, config: DecoderConfig, mask) -> object:
 def decode_parallel_masked(
     features: np.ndarray, model: ModelWeights, mask: masks.ChunkMask
 ) -> np.ndarray:
-    """Whole-sequence decode under a chunk mask; the oracle route."""
-    _check_features(features, model.config, "decode_parallel_masked")
+    """Whole-sequence decode under a chunk mask; the oracle route.
+
+    `forward_named` over plain arrays, except that it multiplies by the
+    projections `ModelWeights` packed once instead of packing them per call.
+    """
+    cfg = model.config
+    _check_features(features, cfg, "decode_parallel_masked")
     if mask.permitted.shape != (len(features), len(features)):
         raise ShapeError(
             f"decode_parallel_masked: mask {mask.permitted.shape} != frames {len(features)}"
         )
-    return forward_named(tensor, features, model.named, model.config, mask)
+    mel, _ = _decode(tensor, features, model.named, model.wqkv, init_state(cfg), cfg, mask)
+    return mel
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Dense numeric primitives for the chunked decoder.
 
 All operations are pure functions over 2-D (time x feature) numpy arrays in
-float32 or float64. Reductions that feed cross-chunk math use a fixed
-left-to-right summation order, so identical inputs always produce
-bit-identical outputs and a value summed with interleaved exact zeros equals
-the value summed without them. That second property is what makes chunked
-decoding with caches agree exactly with one-shot masked decoding.
+float32 or float64; `matmul` also takes one leading batch axis, which
+attention fills with `windows` views. Reductions that feed cross-chunk math
+use a fixed left-to-right summation order, so identical inputs always
+produce bit-identical outputs and a value summed with interleaved exact
+zeros equals the value summed without them. That second property is what
+makes chunked decoding with caches agree exactly with one-shot masked
+decoding.
 """
 
 from __future__ import annotations
@@ -64,37 +66,71 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exact order, so the result matches a naive triple loop bit-for-bit.
     np.einsum without the optimize flag accumulates the contracted axis
     sequentially (no BLAS dispatch, no pairwise blocking), which the test
-    suite pins against an explicit triple-loop reference.
+    suite pins against an explicit triple-loop reference. Operands may
+    also carry one leading batch axis, (B, m, k)·(B, k, n): each of the B
+    products then sums exactly as its own 2-D product.
 
-    The guarantee covers C-contiguous operands and basic-slice views of
-    them (row ranges, column ranges such as one head's columns of a fused
-    projection): each element then sums the same products in the same
-    order as the product of the contiguous copies. It does not cover
-    transposed views (`w.T`), for which einsum may pick another inner
-    loop; a (96×32)·(32×64) product with a transposed right operand came
-    out up to 8.9e-15 off the loop reference. Pass `transpose(w)`, a
-    contiguous copy, where exact order matters.
+    The guarantee covers C-contiguous operands, basic-slice views of them
+    (row ranges, column ranges such as one head's columns of a fused
+    projection) and the `windows` views attention batches: each element
+    then sums the same products in the same order as the product of the
+    contiguous copies. It does not cover transposed views (`w.T`), for
+    which einsum may pick another inner loop; a (96×32)·(32×64) product
+    with a transposed right operand came out up to 8.9e-15 off the loop
+    reference. Pass `transpose(w)`, a contiguous copy, where exact order
+    matters.
 
     A one-column product is the exception einsum makes: with n == 1 and
     k >= 5 it switches to a dot-product loop with partial sums, off the
-    loop reference in the last bits. Such a product multiplies against
-    `b` padded with one zero column, which takes the sequential loop, and
-    keeps the first column. A d_head = 1 model's attention makes these.
+    loop reference in the last bits, batched or not. Such a product
+    multiplies against `b` padded with one zero column, which takes the
+    sequential loop, and keeps the first column. A d_head = 1 model's
+    attention makes these.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.ndim == 2 == b.ndim:
+        spec = "ik,kj->ij"
+    elif a.ndim == 3 == b.ndim and len(a) == len(b):
+        spec = "bik,bkj->bij"
+    else:
+        raise ShapeError(f"matmul: expected 2-D or equally batched 3-D operands, got {a.shape} and {b.shape}")
+    k, n = a.shape[-1], b.shape[-1]
+    if k != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ for {a.shape} and {b.shape}")
     _check_same_dtype(a, b, "matmul")
-    m, k = a.shape
-    n = b.shape[1]
     if k == 0:
-        return np.zeros((m, n), dtype=a.dtype)
+        return np.zeros(a.shape[:-1] + (n,), dtype=a.dtype)
     if n == 1:
-        padded = np.zeros((k, 2), dtype=a.dtype)
-        padded[:, :1] = b
-        return np.ascontiguousarray(np.einsum("ik,kj->ij", a, padded)[:, :1])
-    return np.einsum("ik,kj->ij", a, b)
+        padded = np.zeros(b.shape[:-1] + (2,), dtype=a.dtype)
+        padded[..., :1] = b
+        return np.ascontiguousarray(np.einsum(spec, a, padded)[..., :1])
+    return np.einsum(spec, a, b)
+
+
+def windows(x: np.ndarray, start: tuple[int, int], step: tuple[int, int], count: int, shape: tuple[int, int]) -> np.ndarray:
+    """`count` equal blocks of 2-D `x` as one read-only (count, *shape) view.
+
+    Block i is the `shape` block whose first cell is start + i·step (row,
+    column). Attention reads each chunk's queries, keys, values and mask
+    cells this way, with no copies. Raises ShapeError unless every block
+    lies inside `x`.
+    """
+    (r, c), (dr, dc), (h, w) = start, step, shape
+    if (
+        x.ndim != 2
+        or count < 1
+        or min(r, c, dr, dc, h, w) < 0
+        or r + (count - 1) * dr + h > x.shape[0]
+        or c + (count - 1) * dc + w > x.shape[1]
+    ):
+        raise ShapeError(f"windows: {count} blocks of {shape} from {start} by {step} leave {x.shape}")
+    if count == 1:  # a basic slice costs a fraction of as_strided
+        view = x[None, r : r + h, c : c + w]
+        view.flags.writeable = False
+        return view
+    s0, s1 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x[r:, c:], (count, h, w), (dr * s0 + dc * s1, s0, s1), writeable=False
+    )
 
 
 def masked_softmax(logits: np.ndarray, mask=None) -> np.ndarray:
@@ -110,7 +146,9 @@ def masked_softmax(logits: np.ndarray, mask=None) -> np.ndarray:
     which takes a slow path, and the clamp at zero keeps a masked entry
     above the row max from overflowing before it is dropped. Permitted
     entries see the same `exp` inputs as after masking with -inf, so the
-    result is that softmax bit for bit.
+    result is that softmax bit for bit. After the first difference every
+    step works in place, so a large batched block does not allocate a
+    buffer per step.
     """
     x = np.asarray(logits)
     if x.ndim < 2:
@@ -125,35 +163,36 @@ def masked_softmax(logits: np.ndarray, mask=None) -> np.ndarray:
         if dead.any():
             rows = np.flatnonzero(dead)
             raise MaskError(f"masked_softmax: fully masked query rows {rows.tolist()}")
-        rowmax = np.maximum.reduce(x, axis=-1, keepdims=True, where=perm, initial=-np.inf)
-        zero = x.dtype.type(0)
-        e = np.where(perm, np.exp(np.minimum(x - rowmax, zero)), zero)
+        e = x - np.maximum.reduce(x, axis=-1, keepdims=True, where=perm, initial=-np.inf)
+        np.minimum(e, x.dtype.type(0), out=e)
+        np.exp(e, out=e)
+        np.copyto(e, x.dtype.type(0), where=~perm)
     elif x.shape[-1] == 0:
         raise MaskError("masked_softmax: zero keys and no mask")
     else:
-        e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return e / sum_ordered(e, axis=-1)
-
-
-# Query rows per score block under a chunk mask, rounded up to whole chunks.
-# Smaller blocks pay per-call overhead: a T=600 parallel decode at chunk 1,
-# past 1 (default model, 2-core x86-64) took 132-169 ms with one-row blocks,
-# 110-118 ms dense, 28 ms with 32-row blocks and 28-33 ms with 128-row ones.
-ATTENTION_BLOCK_ROWS = 32
+        e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+        np.exp(e, out=e)
+    return np.divide(e, sum_ordered(e, axis=-1), out=e)
 
 
 def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, inv: float) -> np.ndarray:
     """Scaled dot-product attention: softmax(q kᵀ · inv, restricted by mask) v.
 
     With `mask` None every query sees every key and the scores form one
-    dense block. With a `ChunkMask` the queries go in blocks of whole
-    chunks, at least ATTENTION_BLOCK_ROWS rows each, and each block is
-    scored only against the span of keys its rows may see, so the cost is
-    O(T·window) rather than O(T²). Keys outside a block's span have weight
+    dense block. With a `ChunkMask` the work follows `mask.key_groups`:
+    each group scores its slices of queries against only the keys their
+    window holds, one batched score product, one `masked_softmax` and one
+    batched value product per group, so the cost is O(T·window) rather
+    than O(T²) and a run of chunks costs a handful of calls, not one set
+    per chunk. K and V are transposed once; queries, keys, values and mask
+    cells are read through `windows` views. A dense group needs no mask.
+    Where a slice has more query rows than V has columns, the value
+    product runs on the transposed operands, so that einsum's inner loop
+    runs over the longer axis. Keys outside a slice's window have weight
     exactly zero in the dense masked softmax, and `masked_softmax` and
     `matmul` sum left to right, so the result is bit-identical to masking
     the dense T×T score matrix. Each query row is checked for a permitted
-    key once, by `masked_softmax` on its block; a fully masked row raises
+    key once, by `masked_softmax` on its group; a fully masked row raises
     `MaskError` naming every such row of the mask.
     """
     if mask is None:
@@ -161,20 +200,28 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, inv: float) -> 
     perm = mask.permitted
     if perm.shape != (len(q), len(k)):
         raise ShapeError(f"attention: mask {perm.shape} does not cover {len(q)} queries x {len(k)} keys")
-    rows = mask.chunk_size * -(-ATTENTION_BLOCK_ROWS // mask.chunk_size)
-    blocks = []
-    for r0 in range(0, len(q), rows):
-        sub = perm[r0 : r0 + rows]
-        seen = np.flatnonzero(sub.any(axis=0))
-        c0, c1 = (int(seen[0]), int(seen[-1]) + 1) if len(seen) else (0, 0)
-        scores = scale(matmul(q[r0 : r0 + rows], transpose(k[c0:c1])), inv)
+    kt, vt = transpose(k), transpose(v)
+    dk, dv = q.shape[1], v.shape[1]
+    out = np.empty((len(q), dv), dtype=v.dtype)
+    for g in mask.key_groups:
+        n, rows, w = g.count, g.rows, g.width
+        qs = windows(q, (g.row, 0), (rows, 0), n, (rows, dk))
+        ks = windows(kt, (0, g.key), (0, rows), n, (dk, w))
+        scores = scale(matmul(qs, ks), inv).reshape(n * rows, w)
+        sub = None if g.dense else g.cells(perm).reshape(n * rows, w)
         try:
-            probs = masked_softmax(scores, sub[:, c0:c1])
+            probs = masked_softmax(scores, sub)
         except MaskError:
             dead = np.flatnonzero(~perm.any(axis=1)).tolist()
             raise MaskError(f"attention: fully masked query rows {dead}") from None
-        blocks.append(matmul(probs, v[c0:c1]))
-    return np.concatenate(blocks, axis=0)
+        probs = probs.reshape(n, rows, w)
+        dst = out[g.row : g.row + n * rows].reshape(n, rows, dv)
+        if rows > dv:
+            vs = windows(vt, (0, g.key), (0, rows), n, (dv, w))
+            dst[:] = matmul(vs, np.ascontiguousarray(probs.transpose(0, 2, 1))).transpose(0, 2, 1)
+        else:
+            dst[:] = matmul(probs, windows(v, (g.key, 0), (rows, 0), n, (w, dv)))
+    return out
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5) -> np.ndarray:

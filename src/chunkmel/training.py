@@ -124,6 +124,21 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr < 0 or self.steps < 0 or self.batch_size < 1:
             raise ValueError("lr and steps must be non-negative, batch_size >= 1")
+        # written so that a NaN fails too
+        ranges = {
+            "frames": self.frames >= 1,
+            "beta1": 0 <= self.beta1 < 1,
+            "beta2": 0 <= self.beta2 < 1,
+            "eps": self.eps > 0,
+            "weight_decay": self.weight_decay >= 0,
+            "clip_norm": self.clip_norm > 0,
+        }
+        bad = [name for name, ok in ranges.items() if not ok]
+        if bad:
+            raise ValueError(
+                f"train config fields out of range: {', '.join(f'{n}={getattr(self, n)!r}' for n in bad)} "
+                "(need frames >= 1, beta1 and beta2 in [0, 1), eps > 0, weight_decay >= 0, clip_norm > 0)"
+            )
         if self.regime not in ("static", "dynamic"):
             raise ValueError(f"regime must be static or dynamic, got {self.regime!r}")
 

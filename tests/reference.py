@@ -27,6 +27,32 @@ def matmul_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def masked_attention_dense(q, k, v, permitted, inv):
+    """softmax(q kᵀ · inv under `permitted`) v over the whole T×T matrix.
+
+    Every sum runs left to right over its full axis, as a column loop of
+    whole-array adds: scores over the head dimension, the softmax
+    denominator and the value product over all T keys, masked keys
+    included as exact zeros. The row max is taken over permitted keys and
+    masked scores enter `exp` as -inf.
+    """
+    dt = q.dtype.type
+    scores = np.zeros((len(q), len(k)), dtype=q.dtype)
+    for j in range(q.shape[1]):
+        scores = scores + q[:, j : j + 1] * k[:, j]
+    scores = scores * dt(inv)
+    rowmax = np.where(permitted, scores, -np.inf).max(axis=1, keepdims=True)
+    e = np.exp(np.where(permitted, scores - rowmax, -np.inf))
+    total = np.zeros((len(q), 1), dtype=q.dtype)
+    for j in range(len(k)):
+        total = total + e[:, j : j + 1]
+    probs = e / total
+    out = np.zeros((len(q), v.shape[1]), dtype=q.dtype)
+    for j in range(len(k)):
+        out = out + probs[:, j : j + 1] * v[j]
+    return out
+
+
 def softmax_rows_mp(logits: np.ndarray, permitted: np.ndarray | None = None) -> np.ndarray:
     """Row softmax in 60-digit arithmetic; masked entries exactly zero."""
     x = np.asarray(logits, dtype=np.float64)

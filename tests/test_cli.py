@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: happy paths, exit codes, files."""
 
 import json
+import tempfile
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chunkmel import cli, decoder, io, training
 
@@ -125,6 +130,18 @@ class TestConfigHandling:
         assert cli.cli_dispatch(["train", "--config", cfg, "--out", str(tmp_path / "m.cfpw")]) == 3
         err = capsys.readouterr().err
         assert "past_multipliers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("frames", 0), ("beta1", 1.0), ("beta2", -0.5), ("eps", 0), ("weight_decay", -1e-6), ("clip_norm", 0.0)],
+    )
+    def test_out_of_range_train_field_is_format_error_naming_it(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, train={"steps": 1, "frames": 12, "batch_size": 1, field: value})
+        out = tmp_path / "m.cfpw"
+        assert cli.cli_dispatch(["train", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"{field}={value!r}" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_key_is_format_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, bogus=1)
@@ -427,3 +444,59 @@ class TestReportCommands:
         assert doc["mode"] == "drop_kv"
         assert len(doc["max_abs_diff"]) == 2
         assert doc["frac_broken"] == 1.0
+
+
+@cache
+def valid_synth_inputs() -> dict[str, bytes]:
+    """The bytes of a valid model, feature and state file for one tiny
+    `synth --state-in` run."""
+    cfg = decoder.DecoderConfig(**TINY_DECODER)
+    model = decoder.init_weights(cfg, seed=0)
+    rng = np.random.default_rng(5)
+    _, state = decoder.decode_incremental(rng.standard_normal((6, cfg.d_model)), model)
+    with tempfile.TemporaryDirectory() as d:
+        paths = {"model": f"{d}/m.cfpw", "features": f"{d}/f.ctn1", "state": f"{d}/s.cfps"}
+        decoder.save_model(paths["model"], model)
+        io.save_tensor(paths["features"], rng.standard_normal((9, cfg.d_model)))
+        decoder.save_decoder_state(paths["state"], state)
+        return {k: Path(p).read_bytes() for k, p in paths.items()}
+
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2**20), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 2**20)),
+    st.tuples(st.just("insert"), st.integers(0, 2**20), st.binary(min_size=1, max_size=9)),
+)
+
+
+def mutate(data: bytes, mutation) -> bytes:
+    kind, at = mutation[0], mutation[1] % (len(data) + 1)
+    if kind == "flip":
+        at %= len(data)
+        return data[:at] + bytes([data[at] ^ (1 << mutation[2])]) + data[at + 1 :]
+    if kind == "truncate":
+        return data[:at]
+    return data[:at] + mutation[2] + data[at:]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(target=st.sampled_from(["model", "features", "state"]), mutation=MUTATIONS)
+def test_mutated_input_file_exits_0_with_finite_mel_or_3(target, mutation):
+    """A flipped, cut or grown CTN1, CFPW or CFPS file either decodes to a
+    finite Mel or is refused as a file error. The one other exit is the
+    documented usage error for non-finite features (exit 2)."""
+    files = valid_synth_inputs() | {}
+    files[target] = mutate(files[target], mutation)
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in files.items():
+            Path(d, name).write_bytes(data)
+        out = Path(d, "mel.ctn1")
+        argv = ["synth", "--model", f"{d}/model", "--features", f"{d}/features",
+                "--state-in", f"{d}/state", "--out", str(out)]
+        code = cli.cli_dispatch(argv)
+        if code == 0:
+            assert np.isfinite(io.load_tensor(str(out))).all()
+        elif code == 2:
+            assert target == "features" and not np.isfinite(io.load_tensor(f"{d}/features")).all()
+        else:
+            assert code == 3

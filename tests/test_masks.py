@@ -193,3 +193,56 @@ class TestRendering:
         img = np.frombuffer(pixels, dtype=np.uint8).reshape(4, 4)
         assert np.array_equal(img == 0, m.permitted)
         assert set(np.unique(img)) <= {0, 255}
+
+
+def hand_built(t, chunk, past, seed):
+    """A static mask with random cells dropped and added, rows kept non-empty."""
+    rng = np.random.default_rng(seed)
+    perm = masks.build_static_mask(t, chunk, past).permitted
+    perm = (perm & (rng.random((t, t)) < 0.8)) | (rng.random((t, t)) < 0.03) | np.eye(t, dtype=bool)
+    return masks.ChunkMask(perm, chunk, past, t)
+
+
+class TestKeyGroups:
+    @pytest.mark.parametrize(
+        "mask",
+        [masks.build_static_mask(t, c, p) for t, c, p in
+         [(1, 1, 0), (37, 1, 2), (47, 6, 5), (100, 4, masks.ALL), (96, 30, 15), (120, 50, 150), (90, 30, 0)]]
+        + [hand_built(50, 5, 5, 1), hand_built(33, 1, 2, 2)],
+    )
+    def test_groups_partition_rows_and_cover_every_permitted_key(self, mask):
+        perm = mask.permitted
+        rows = np.zeros(mask.total_frames, dtype=int)
+        covered = 0
+        for g in mask.key_groups:
+            rows[g.row : g.row + g.count * g.rows] += 1
+            cells = g.cells(perm)
+            assert cells.shape == (g.count, g.rows, g.width)
+            covered += np.count_nonzero(cells)
+            assert g.dense == (g.width > 0 and bool(cells.all()))
+        assert (rows == 1).all()
+        assert covered == np.count_nonzero(perm)
+
+    def test_repeating_windows_form_one_batched_group(self):
+        # chunk 0 sees 30 keys, chunks 1..32 see 45, the 10-frame tail 25
+        groups = masks.build_static_mask(1000, 30, 15).key_groups
+        assert [(g.row, g.rows, g.count, g.key, g.width, g.dense) for g in groups] == [
+            (0, 30, 1, 0, 30, True), (30, 30, 32, 15, 45, True), (990, 10, 1, 975, 25, True)
+        ]
+
+    def test_windows_that_do_not_repeat_fall_back_to_blocks(self):
+        # past ALL: blocks of 32 one-frame chunks over their union of keys
+        groups = masks.build_static_mask(100, 1, masks.ALL).key_groups
+        assert [(g.row, g.rows, g.count, g.width) for g in groups] == [
+            (0, 32, 1, 32), (32, 32, 1, 64), (64, 32, 1, 96), (96, 4, 1, 100)
+        ]
+        # chunks of ATTENTION_BLOCK_ROWS frames or more each run alone
+        groups = masks.build_static_mask(300, 50, 100).key_groups
+        assert all(g.count == 1 and g.rows == 50 for g in groups)
+
+    def test_groups_are_derived_lazily_once(self):
+        mask = masks.build_static_mask(60, 6, 3)
+        assert "key_groups" not in vars(mask)
+        assert mask.key_groups is mask.key_groups
+        with pytest.raises(AttributeError):
+            mask.chunk_size = 3

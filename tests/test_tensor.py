@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from chunkmel import tensor
+from chunkmel import masks, tensor
 from chunkmel.tensor import MaskError, ShapeError
 
 
@@ -86,6 +86,61 @@ def test_matmul_rejects_bad_operands():
         tensor.matmul(np.zeros(3), np.zeros((3, 2)))
     with pytest.raises(ShapeError):
         tensor.matmul(np.zeros((2, 3), np.float32), np.zeros((3, 2), np.float64))
+    with pytest.raises(ShapeError):
+        tensor.matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+    with pytest.raises(ShapeError):
+        tensor.matmul(np.zeros((2, 3, 4)), np.zeros((4, 5)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "b,m,k,n", [(1, 3, 5, 2), (4, 7, 16, 1), (3, 1, 9, 45), (5, 30, 16, 45), (6, 16, 45, 1), (2, 4, 0, 3)]
+)
+def test_batched_matmul_matches_triple_loop_per_batch(dtype, b, m, k, n):
+    # one column with k >= 5 is where einsum would sum in partial sums
+    x = rand((b, m, k), dtype, seed=b * 1000 + m * 10 + k)
+    y = rand((b, k, n), dtype, seed=n * 100 + k + 1)
+    got = tensor.matmul(x, y)
+    assert got.shape == (b, m, n) and got.dtype == dtype
+    for i in range(b):
+        assert np.array_equal(got[i], reference.matmul_loops(x[i], y[i]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("d", [1, 16])
+def test_batched_matmul_exact_on_window_views(dtype, d):
+    # the views attention batches: query rows of a fused projection, key
+    # columns of a transposed key matrix, value rows, value columns
+    fused = rand((95, 3 * d), dtype, seed=d)
+    q, v = fused[:, :d], fused[:, 2 * d :]
+    kt = tensor.transpose(fused[:, d : 2 * d])
+    probs = rand((12, 7, 13), dtype, seed=d + 1)
+    products = [
+        (tensor.windows(q, (10, 0), (7, 0), 12, (7, d)), tensor.windows(kt, (0, 4), (0, 7), 12, (d, 13))),
+        (probs, tensor.windows(v, (4, 0), (7, 0), 12, (13, d))),
+        (tensor.windows(tensor.transpose(v), (0, 4), (0, 7), 12, (d, 13)), probs.transpose(0, 2, 1).copy()),
+    ]
+    for x, y in products:
+        got = tensor.matmul(x, y)
+        for i in range(12):
+            want = reference.matmul_loops(np.ascontiguousarray(x[i]), np.ascontiguousarray(y[i]))
+            assert np.array_equal(got[i], want)
+
+
+def test_windows_are_read_only_views_inside_bounds():
+    x = np.arange(30.0).reshape(15, 2)
+    w = tensor.windows(x, (1, 0), (4, 0), 3, (6, 2))
+    assert w.shape == (3, 6, 2) and np.shares_memory(w, x)
+    for i in range(3):
+        assert np.array_equal(w[i], x[1 + 4 * i : 7 + 4 * i])
+    diag = tensor.windows(np.arange(100).reshape(10, 10), (1, 2), (3, 3), 3, (2, 2))
+    assert np.array_equal(diag[2], np.arange(100).reshape(10, 10)[7:9, 8:10])
+    for view in (w, tensor.windows(x, (3, 0), (1, 0), 1, (2, 2))):
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = 1.0
+    for start, step, count, shape in [((0, 0), (5, 0), 3, (6, 2)), ((0, 1), (1, 0), 2, (2, 2)), ((0, 0), (1, 0), 0, (1, 1))]:
+        with pytest.raises(ShapeError):
+            tensor.windows(x, start, step, count, shape)
 
 
 def test_sum_ordered_matches_running_total_exactly():
@@ -252,6 +307,53 @@ def test_attention_windowed_equals_dense_bitwise(dtype, chunk):
             assert got.tobytes() == want.tobytes(), (chunk, past, t)
 
 
+ATTENTION_CELLS = [
+    # (frames, chunk, past, d_head, dtype)
+    (37, 1, 2, 4, np.float64),  # chunk 1
+    (40, 1, masks.ALL, 2, np.float64),
+    (47, 6, 5, 4, np.float64),  # frames not a multiple of the chunk
+    (45, 5, 0, 4, np.float64),  # past 0
+    (53, 4, masks.ALL, 4, np.float64),  # past ALL
+    (70, 4, 13, 4, np.float64),  # past wider than three chunks
+    (61, 3, 2, 1, np.float64),  # d_head 1
+    (58, 35, 12, 4, np.float64),  # chunks longer than a block
+    (66, 5, 7, 4, np.float32),
+    (41, 1, masks.ALL, 1, np.float32),
+]
+
+
+@pytest.mark.parametrize("t,chunk,past,d,dtype", ATTENTION_CELLS)
+def test_attention_equals_dense_reference_bytewise(t, chunk, past, d, dtype):
+    q, k, v = (rand((t, d), dtype, seed=t + s) for s in range(3))
+    m = masks.build_static_mask(t, chunk, past)
+    got = tensor.attention(q, k, v, m, 0.4)
+    assert got.dtype == dtype
+    assert got.tobytes() == reference.masked_attention_dense(q, k, v, m.permitted, 0.4).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_on_hand_built_masks_equals_dense_reference(dtype):
+    # rows differ within a chunk: some drop keys of their chunk's window,
+    # some see keys outside it, and a chunk's first row may see fewer keys
+    # than the rest, so no window read off a first row covers its chunk
+    t, chunk = 60, 6
+    rng = np.random.default_rng(8)
+    q, k, v = (rand((t, 4), dtype, seed=40 + s) for s in range(3))
+    base = masks.build_static_mask(t, chunk, 4).permitted
+    thinned = base & (rng.random((t, t)) < 0.7)
+    widened = base | (rng.random((t, t)) < 0.05)
+    first_narrow = base.copy()
+    first_narrow[::chunk] = np.eye(t, dtype=bool)[::chunk]
+    # first rows whole, later rows thinned: windows hold, groups need the mask
+    first_whole = thinned.copy()
+    first_whole[::chunk] = base[::chunk]
+    for perm in (thinned, widened, first_narrow, first_whole):
+        perm = perm | np.eye(t, dtype=bool)
+        m = masks.ChunkMask(perm, chunk, 4, t)
+        got = tensor.attention(q, k, v, m, 0.4)
+        assert got.tobytes() == reference.masked_attention_dense(q, k, v, perm, 0.4).tobytes()
+
+
 def test_attention_rejects_dead_rows_and_bad_masks():
     from chunkmel import masks
 
@@ -261,6 +363,12 @@ def test_attention_rejects_dead_rows_and_bad_masks():
     dead = masks.ChunkMask(perm, 4, 2, 40)
     with pytest.raises(MaskError, match=r"\[37\]"):
         tensor.attention(q, q, q, dead, 0.5)
+    # dead rows in two groups, one of them a chunk's first row: all named
+    two = perm.copy()
+    two[5] = False
+    two[12] = False
+    with pytest.raises(MaskError, match=r"\[5, 12, 37\]"):
+        tensor.attention(q, q, q, masks.ChunkMask(two, 4, 2, 40), 0.5)
     # a fully masked block of query rows has no key span at all
     block = perm.copy()
     block[32:40] = False

@@ -219,6 +219,17 @@ class TestTrainStep:
         with pytest.raises(training.TrainingError):
             training.train_step(params, dec, tc, feats, targets, [mask], training.adam_init(params))
 
+    @pytest.mark.parametrize("regime", ["static", "dynamic"])
+    def test_training_never_plans_attention_groups(self, monkeypatch, regime):
+        # training attends densely on the tape, so its masks must not pay
+        # for the parallel route's key windows
+        def refuse(*args):
+            raise AssertionError("training planned attention key groups")
+
+        monkeypatch.setattr(masks, "_plan", refuse)
+        tc = training.TrainConfig(steps=2, seed=1, regime=regime, frames=24, batch_size=2)
+        training.train(tiny_dec(), tc)
+
     def test_dynamic_regime_draws_masks_per_sample(self):
         dec = tiny_dec()
         tc = training.TrainConfig(steps=1, seed=3, regime="dynamic", frames=24, batch_size=6)
