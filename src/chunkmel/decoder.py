@@ -118,10 +118,7 @@ class DecoderConfig:
             raise ValueError("conv kernels must be >= 1")
         if self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.past_size != ALL and (
-            not isinstance(self.past_size, (int, np.integer)) or self.past_size < 0
-        ):
-            raise ValueError(f"past_size must be >= 0 or {ALL!r}, got {self.past_size!r}")
+        masks._check_past(self.past_size)
         if self.d_ff < 1 or self.mel_bins < 1:
             raise ValueError("d_ff and mel_bins must be >= 1")
         if self.ln_eps <= 0:
@@ -605,9 +602,9 @@ def decode_parallel_masked(
     """
     cfg = model.config
     _check_features(features, cfg, "decode_parallel_masked")
-    if mask.permitted.shape != (len(features), len(features)):
+    if mask.total_frames != len(features):
         raise ShapeError(
-            f"decode_parallel_masked: mask {mask.permitted.shape} != frames {len(features)}"
+            f"decode_parallel_masked: mask of {mask.total_frames} frames != frames {len(features)}"
         )
     mel, _ = _decode(tensor, features, model.named, model.wqkv, init_state(cfg), cfg, mask)
     return mel
@@ -661,11 +658,6 @@ def receptive_field_oracle(cfg: DecoderConfig) -> ReceptiveFieldReport:
     measures what the key/value caches alone make visible.
     """
     n_layers, chunk_size, past_size = cfg.n_layers, cfg.chunk_size, cfg.past_size
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if n_layers < 1:
-        raise ValueError(f"n_layers must be >= 1, got {n_layers}")
-    _ = masks._check_past(past_size)
     unbounded = past_size == ALL
     if unbounded:
         n_chunks = n_layers + 2

@@ -124,6 +124,8 @@ def equivalence_sweep(
     tol = SWEEP_TOL[dtype]
     if grid is None:
         grid = default_grid()
+    if not seeds or not grid:
+        raise ValueError("equivalence sweep needs at least one seed and one grid cell")
     start = time.perf_counter()
     cells: list[SweepCell] = []
     failures: list[SweepCell] = []
@@ -245,6 +247,8 @@ def ablation_check(
     """
     if mode not in ("drop_kv", "drop_conv", "drop_both"):
         raise ValueError(f"unknown ablation mode {mode!r}")
+    if not seeds:
+        raise ValueError("ablation needs at least one seed")
     max_diffs, jump_abl, jump_int, interior_abl = [], [], [], []
     for seed in seeds:
         model = decoder.init_weights(cfg, seed=seed)
@@ -311,6 +315,8 @@ def bench(
     warm-up passes are run and discarded first. Latencies are medians,
     percentiles pool every timed chunk.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     cfg = model.config
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((frames, cfg.d_model)).astype(cfg.np_dtype)

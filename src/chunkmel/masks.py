@@ -1,15 +1,16 @@
 """Chunk attention masks for constrained training and the parallel oracle.
 
-A chunk mask partitions the time axis into consecutive chunks of
-`chunk_size` frames (the last chunk may be shorter). A query may attend
-to every key in its own chunk and to `past_size` frames immediately
-before that chunk's start; `past_size` may also be ALL, meaning the
-entire history. All queries inside one chunk share one row pattern,
-which is what lets a whole chunk attend one shared cache at inference.
+A chunk mask is its sizes. It partitions the time axis into consecutive
+chunks of `chunk_size` frames (the last chunk may be shorter). A query
+may attend to every key in its own chunk and to `past_size` frames
+immediately before that chunk's start; `past_size` may also be ALL,
+meaning the entire history. All queries inside one chunk share one key
+window, which is what lets a whole chunk attend one shared cache at
+inference.
 
 For the parallel route a mask also plans its own attention work
-(`ChunkMask.key_groups`): each chunk's key window, and the runs of chunks
-whose windows repeat one chunk apart, so that `tensor.attention` scores a
+(`ChunkMask.key_groups`) from those windows: the runs of chunks whose
+windows repeat one chunk apart, so that `tensor.attention` scores a
 whole run in one batched product.
 """
 
@@ -22,8 +23,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-
-from . import tensor
 
 ALL = "all"
 
@@ -45,8 +44,7 @@ class KeyGroup(NamedTuple):
     Slice i holds query rows [row + i·rows, row + (i+1)·rows) and their
     keys [key + i·rows, key + i·rows + width): a run of chunks whose
     windows repeat one chunk apart, or (count 1) a block of whole chunks
-    over the union of their windows. `dense` means every query of every
-    slice may see every key of its slice, so no mask needs applying.
+    over the union of their windows.
     """
 
     row: int
@@ -54,54 +52,77 @@ class KeyGroup(NamedTuple):
     count: int
     key: int
     width: int
-    dense: bool
-
-    def cells(self, permitted: np.ndarray) -> np.ndarray:
-        """The slices' cells of a (T, T) permission matrix, as a read-only
-        (count, rows, width) view."""
-        return tensor.windows(
-            permitted, (self.row, self.key), (self.rows, self.rows), self.count, (self.rows, self.width)
-        )
 
 
 @dataclass(frozen=True)
 class ChunkMask:
-    """Boolean (query, key) permission matrix plus the sizes that built it.
+    """A chunk mask as its sizes; the (query, key) permission matrix and
+    the attention plan both derive from them.
 
-    The mask is frozen after construction, matrix included; build a new
-    mask instead of editing one.
+    Chunk i spans frames [start, min(start + chunk_size, T)) with start =
+    i·chunk_size, and its queries see the keys [max(0, start - past_size),
+    min(start + chunk_size, T)), from key 0 under past ALL. The trailing
+    partial chunk still counts its past from the true chunk start.
     """
 
-    permitted: np.ndarray
     chunk_size: int
     past_size: PastSize
     total_frames: int
 
     def __post_init__(self):
-        self.permitted.setflags(write=False)
+        if self.total_frames < 1:
+            raise ValueError(f"total_frames must be >= 1, got {self.total_frames}")
+        if self.chunk_size < 1:
+            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        _check_past(self.past_size)
+
+    def _first_key(self, start: int) -> int:
+        """First key of the window of the chunk that starts at frame `start`."""
+        return 0 if self.past_size == ALL else max(0, start - self.past_size)
+
+    @cached_property
+    def permitted(self) -> np.ndarray:
+        """Read-only boolean (T, T) matrix: query row, key column."""
+        t, c = self.total_frames, self.chunk_size
+        perm = np.zeros((t, t), dtype=bool)
+        for start in range(0, t, c):
+            end = min(start + c, t)
+            perm[start:end, self._first_key(start) : end] = True
+        perm.setflags(write=False)
+        return perm
 
     @cached_property
     def key_groups(self) -> tuple[KeyGroup, ...]:
         """The attention work over this mask, as `tensor.attention` runs it.
 
-        Every query row lies in exactly one group, and every permitted key
-        of a row lies in the key span its group scores, for any
-        `permitted`. Each chunk's window is first read off its first row;
-        one count of the permitted cells inside the groups against all of
-        them checks that guess, and a mask whose rows differ within a
-        chunk is planned again from each chunk's union of keys. Derived on
-        first use and cached: training builds masks it never plans.
+        From chunk ⌈past/chunk⌉ on, every full chunk sees the past_size
+        keys before it and its own, so those windows have one width and
+        start one chunk apart. A run of two or more such chunks is one
+        batched group, if the chunks are shorter than ATTENTION_BLOCK_ROWS:
+        a longer chunk is a block big enough to run alone, and batching
+        such slices only makes larger buffers. The other chunks (the first
+        ones, a short last chunk, all of them under past ALL) gather into
+        blocks of at least ATTENTION_BLOCK_ROWS rows, each scored over the
+        union of its chunks' windows. Every query row lies in exactly one
+        group, and every key it may see lies in the span its group scores.
+        Derived on first use and cached.
         """
-        perm, c = self.permitted, self.chunk_size
-        first = perm[::c]
-        lo = np.argmax(first, axis=1)
-        groups, covered = _plan(perm, c, lo, lo + np.count_nonzero(first, axis=1))
-        if covered != np.count_nonzero(perm):
-            starts = np.arange(0, len(perm), c)
-            lo = np.minimum.reduceat(np.argmax(perm, axis=1), starts)
-            hi = np.maximum.reduceat(len(perm) - np.argmax(perm[:, ::-1], axis=1), starts)
-            groups, _ = _plan(perm, c, lo, hi)
-        return groups
+        t, c, p = self.total_frames, self.chunk_size, self.past_size
+        n, full = -(-t // c), t // c
+
+        def block(a, b):  # chunks a .. b-1 over the union of their windows
+            key, end = self._first_key(a * c), min(b * c, t)
+            return KeyGroup(a * c, end - a * c, 1, key, end - key)
+
+        def blocks(a, b):  # chunks a .. b-1 in blocks of at least ATTENTION_BLOCK_ROWS rows
+            step = -(-ATTENTION_BLOCK_ROWS // c)
+            return [block(i, min(i + step, b)) for i in range(a, b, step)]
+
+        run = n if p == ALL or c >= ATTENTION_BLOCK_ROWS else -(-p // c)  # first chunk of the run
+        if full - run < 2:
+            return tuple(blocks(0, n))
+        batched = KeyGroup(run * c, c, full - run, run * c - p, c + p)
+        return tuple(blocks(0, run) + [batched] + blocks(full, n))
 
     def ascii(self) -> str:
         """Rows of '#' (permitted) and '.' (blocked), query per line."""
@@ -114,53 +135,6 @@ class ChunkMask:
         t = self.total_frames
         pixels = np.where(self.permitted, 0, 255).astype(np.uint8)
         return f"P5\n{t} {t}\n255\n".encode("ascii") + pixels.tobytes()
-
-
-def _plan(perm: np.ndarray, chunk: int, lo: np.ndarray, hi: np.ndarray) -> tuple[tuple[KeyGroup, ...], int]:
-    """Group the chunks whose key windows are [lo, hi), and count the
-    permitted cells the groups score.
-
-    A run of two or more full chunks whose windows have one width and
-    start one chunk apart is one batched group, if the chunks are shorter
-    than ATTENTION_BLOCK_ROWS: a longer chunk is a block big enough to
-    run alone, and batching such slices only makes larger buffers. Other
-    chunks gather into blocks of at least ATTENTION_BLOCK_ROWS rows, each
-    scored over the union of its chunks' windows; a run starting ends the
-    block.
-    """
-    t = len(perm)
-    n = len(lo)
-    width = hi - lo
-    follows = np.zeros(n, dtype=bool)
-    if chunk < ATTENTION_BLOCK_ROWS:
-        full = n if t % chunk == 0 else n - 1
-        follows[1:full] = (width[1:full] == width[: full - 1]) & (lo[1:full] == lo[: full - 1] + chunk)
-    heads = np.flatnonzero(~follows).tolist() + [n]
-    lo, hi = lo.tolist(), hi.tolist()
-
-    def block(a, b):  # chunks a .. b-1 over the union of their windows
-        key = min(lo[a:b])
-        return a * chunk, min(b * chunk, t) - a * chunk, 1, key, max(hi[a:b]) - key
-
-    spans = []
-    first = 0  # first chunk not yet in a group
-    for a, b in zip(heads, heads[1:]):
-        if b - a > 1:
-            if first < a:
-                spans.append(block(first, a))
-            spans.append((a * chunk, chunk, b - a, lo[a], hi[a] - lo[a]))
-            first = b
-        elif (b - first) * chunk >= ATTENTION_BLOCK_ROWS:
-            spans.append(block(first, b))
-            first = b
-    if first < n:
-        spans.append(block(first, n))
-    groups, covered = [], 0
-    for row, rows, count, key, w in spans:
-        cells = int(np.count_nonzero(KeyGroup(row, rows, count, key, w, False).cells(perm)))
-        covered += cells
-        groups.append(KeyGroup(row, rows, count, key, w, w > 0 and cells == count * rows * w))
-    return tuple(groups), covered
 
 
 @dataclass
@@ -193,26 +167,11 @@ def _check_past(past_size: PastSize) -> None:
 
 
 def build_static_mask(total_frames: int, chunk_size: int, past_size: PastSize) -> ChunkMask:
-    """Mask with fixed chunk and past sizes.
+    """Mask with fixed chunk and past sizes (see `ChunkMask`).
 
-    Chunk c spans frames [c*chunk_size, min((c+1)*chunk_size, T)); its
-    queries may see keys from max(0, chunk_start - past_size) up to the
-    chunk end. past_size = ALL opens the whole history before the chunk
-    end. The trailing partial chunk still counts its past from the true
-    chunk start.
+    past_size = ALL opens the whole history before the chunk end.
     """
-    if total_frames < 1:
-        raise ValueError(f"total_frames must be >= 1, got {total_frames}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    _check_past(past_size)
-    t = total_frames
-    permitted = np.zeros((t, t), dtype=bool)
-    for start in range(0, t, chunk_size):
-        end = min(start + chunk_size, t)
-        first_key = 0 if past_size == ALL else max(0, start - past_size)
-        permitted[start:end, first_key:end] = True
-    return ChunkMask(permitted, chunk_size, past_size, t)
+    return ChunkMask(chunk_size, past_size, total_frames)
 
 
 def sample_dynamic_mask(total_frames: int, policy: DynamicMaskPolicy, rng: np.random.Generator) -> ChunkMask:

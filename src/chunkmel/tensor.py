@@ -179,27 +179,28 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, inv: float) -> 
     """Scaled dot-product attention: softmax(q kᵀ · inv, restricted by mask) v.
 
     With `mask` None every query sees every key and the scores form one
-    dense block. With a `ChunkMask` the work follows `mask.key_groups`:
-    each group scores its slices of queries against only the keys their
-    window holds, one batched score product, one `masked_softmax` and one
-    batched value product per group, so the cost is O(T·window) rather
-    than O(T²) and a run of chunks costs a handful of calls, not one set
-    per chunk. K and V are transposed once; queries, keys, values and mask
-    cells are read through `windows` views. A dense group needs no mask.
-    Where a slice has more query rows than V has columns, the value
-    product runs on the transposed operands, so that einsum's inner loop
-    runs over the longer axis. Keys outside a slice's window have weight
-    exactly zero in the dense masked softmax, and `masked_softmax` and
-    `matmul` sum left to right, so the result is bit-identical to masking
-    the dense T×T score matrix. Each query row is checked for a permitted
-    key once, by `masked_softmax` on its group; a fully masked row raises
-    `MaskError` naming every such row of the mask.
+    dense block. With a `ChunkMask`, which is its chunk and past sizes,
+    the work follows `mask.key_groups`: each group scores its slices of
+    queries against only the keys their window holds, one batched score
+    product, one `masked_softmax` and one batched value product per group,
+    so the cost is O(T·window) rather than O(T²) and a run of chunks costs
+    a handful of calls, not one set per chunk. K and V are transposed
+    once; queries, keys and values are read through `windows` views. A
+    slice of at most one chunk sees its whole window, so only a block of
+    several chunks applies the mask, sliced from `mask.permitted`. Where a
+    slice has more query rows than V has columns, the value product runs
+    on the transposed operands, so that einsum's inner loop runs over the
+    longer axis. Keys outside a slice's window have weight exactly zero in
+    the dense masked softmax, and `masked_softmax` and `matmul` sum left
+    to right, so the result is bit-identical to masking the dense T×T
+    score matrix.
     """
     if mask is None:
         return matmul(masked_softmax(scale(matmul(q, transpose(k)), inv), None), v)
-    perm = mask.permitted
-    if perm.shape != (len(q), len(k)):
-        raise ShapeError(f"attention: mask {perm.shape} does not cover {len(q)} queries x {len(k)} keys")
+    if not mask.total_frames == len(q) == len(k):
+        raise ShapeError(
+            f"attention: mask of {mask.total_frames} frames does not cover {len(q)} queries x {len(k)} keys"
+        )
     kt, vt = transpose(k), transpose(v)
     dk, dv = q.shape[1], v.shape[1]
     out = np.empty((len(q), dv), dtype=v.dtype)
@@ -208,13 +209,8 @@ def attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask, inv: float) -> 
         qs = windows(q, (g.row, 0), (rows, 0), n, (rows, dk))
         ks = windows(kt, (0, g.key), (0, rows), n, (dk, w))
         scores = scale(matmul(qs, ks), inv).reshape(n * rows, w)
-        sub = None if g.dense else g.cells(perm).reshape(n * rows, w)
-        try:
-            probs = masked_softmax(scores, sub)
-        except MaskError:
-            dead = np.flatnonzero(~perm.any(axis=1)).tolist()
-            raise MaskError(f"attention: fully masked query rows {dead}") from None
-        probs = probs.reshape(n, rows, w)
+        sub = mask.permitted[g.row : g.row + rows, g.key : g.key + w] if rows > mask.chunk_size else None
+        probs = masked_softmax(scores, sub).reshape(n, rows, w)
         dst = out[g.row : g.row + n * rows].reshape(n, rows, dv)
         if rows > dv:
             vs = windows(vt, (0, g.key), (0, rows), n, (dv, w))

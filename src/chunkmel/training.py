@@ -380,6 +380,8 @@ def run_mask_study(
     """
     from . import evaluation
 
+    if not seeds:
+        raise ValueError("mask study needs at least one seed")
     row_labels = [_regime_label(r) for r in train_regimes]
     col_labels = [_infer_label(c) for c in infer_configs]
     table = np.zeros((len(train_regimes), len(infer_configs)))

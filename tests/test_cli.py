@@ -445,6 +445,23 @@ class TestReportCommands:
         assert len(doc["max_abs_diff"]) == 2
         assert doc["frac_broken"] == 1.0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--repeats", "0", "--frames", "30"],
+            ["equiv", "--seeds", "0"],
+            ["ablate", "--seeds", "0", "--mode", "drop_kv"],
+            ["study", "--seeds", "0"],
+        ],
+        ids=["bench", "equiv", "ablate", "study"],
+    )
+    def test_count_that_checks_nothing_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert cli.cli_dispatch(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 @cache
 def valid_synth_inputs() -> dict[str, bytes]:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chunkmel import masks
+from chunkmel import masks, tensor
 
 
 def row_set(mask, q):
@@ -81,6 +81,17 @@ class TestStaticMask:
         m = masks.build_static_mask(4, 2, 1)
         with pytest.raises(ValueError):
             m.permitted[0, 3] = True
+
+    def test_chunk_mask_is_its_sizes(self):
+        m = masks.ChunkMask(chunk_size=2, past_size=1, total_frames=4)
+        assert m == masks.build_static_mask(4, 2, 1)
+        # the matrix is derived on first read, once, and cannot be edited
+        assert "permitted" not in vars(m)
+        assert m.permitted is m.permitted
+        assert not m.permitted.flags.writeable
+        for chunk, past, frames in [(2, 1, 0), (0, 1, 4), (2, -1, 4), (2, "sometimes", 4), (2, 1.5, 4)]:
+            with pytest.raises(ValueError):
+                masks.ChunkMask(chunk, past, frames)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -195,12 +206,12 @@ class TestRendering:
         assert set(np.unique(img)) <= {0, 255}
 
 
-def hand_built(t, chunk, past, seed):
-    """A static mask with random cells dropped and added, rows kept non-empty."""
-    rng = np.random.default_rng(seed)
-    perm = masks.build_static_mask(t, chunk, past).permitted
-    perm = (perm & (rng.random((t, t)) < 0.8)) | (rng.random((t, t)) < 0.03) | np.eye(t, dtype=bool)
-    return masks.ChunkMask(perm, chunk, past, t)
+def static_family():
+    """Masks over T 1-1000, chunk 1-50 and past 0, 1, c/2, c, 2c+1, 100, ALL."""
+    for t in (1, 7, 37, 100, 333, 1000):
+        for c in (1, 2, 5, 16, 31, 32, 50):
+            for p in sorted({0, 1, c // 2, c, 2 * c + 1, 100}) + [masks.ALL]:
+                yield masks.build_static_mask(t, c, p)
 
 
 class TestKeyGroups:
@@ -208,7 +219,7 @@ class TestKeyGroups:
         "mask",
         [masks.build_static_mask(t, c, p) for t, c, p in
          [(1, 1, 0), (37, 1, 2), (47, 6, 5), (100, 4, masks.ALL), (96, 30, 15), (120, 50, 150), (90, 30, 0)]]
-        + [hand_built(50, 5, 5, 1), hand_built(33, 1, 2, 2)],
+        + list(static_family()),
     )
     def test_groups_partition_rows_and_cover_every_permitted_key(self, mask):
         perm = mask.permitted
@@ -216,19 +227,17 @@ class TestKeyGroups:
         covered = 0
         for g in mask.key_groups:
             rows[g.row : g.row + g.count * g.rows] += 1
-            cells = g.cells(perm)
-            assert cells.shape == (g.count, g.rows, g.width)
+            cells = tensor.windows(perm, (g.row, g.key), (g.rows, g.rows), g.count, (g.rows, g.width))
             covered += np.count_nonzero(cells)
-            assert g.dense == (g.width > 0 and bool(cells.all()))
+            # a slice of at most one chunk sees its whole window, a longer block does not
+            assert bool(cells.all()) == (g.rows <= mask.chunk_size)
         assert (rows == 1).all()
         assert covered == np.count_nonzero(perm)
 
     def test_repeating_windows_form_one_batched_group(self):
         # chunk 0 sees 30 keys, chunks 1..32 see 45, the 10-frame tail 25
         groups = masks.build_static_mask(1000, 30, 15).key_groups
-        assert [(g.row, g.rows, g.count, g.key, g.width, g.dense) for g in groups] == [
-            (0, 30, 1, 0, 30, True), (30, 30, 32, 15, 45, True), (990, 10, 1, 975, 25, True)
-        ]
+        assert [tuple(g) for g in groups] == [(0, 30, 1, 0, 30), (30, 30, 32, 15, 45), (990, 10, 1, 975, 25)]
 
     def test_windows_that_do_not_repeat_fall_back_to_blocks(self):
         # past ALL: blocks of 32 one-frame chunks over their union of keys

