@@ -278,6 +278,10 @@ def _cmd_bench(args) -> int:
 def _cmd_msd(args) -> int:
     a = io.load_tensor(args.a)
     b = io.load_tensor(args.b)
+    for path, arr in ((args.a, a), (args.b, b)):
+        at = decoder._non_finite_at(arr)
+        if at is not None:
+            raise decoder.NonFiniteInputError(f"{path}: non-finite value at index {at}")
     print(evaluation.msd(a, b, mean_squared=args.mean_squared))
     return 0
 

@@ -7,6 +7,8 @@ and runs every route:
 - `decode_chunk` and `decode_incremental` run it chunk by chunk with no
   mask, carrying per-layer attention key/value caches (at most
   `past_size` frames) and causal-conv tails (exactly kernel-1 frames).
+  `state_shapes` states that layout and bound once: `init_state` is
+  built from it, and a CFPS snapshot is checked against it on load.
 - `forward_named` and `decode_parallel_masked` run it as one chunk as
   long as the sequence, under a chunk attention mask, from the empty
   caches and zero conv tails of `init_state`: the kernel-1 left
@@ -53,6 +55,18 @@ def _non_finite_at(arr: np.ndarray) -> tuple[int, ...] | None:
     if ok.all():
         return None
     return tuple(int(i) for i in np.unravel_index(np.argmin(ok), arr.shape))
+
+
+def _check_tensors(arrays, shapes, config: DecoderConfig, name, needs="config needs") -> None:
+    """The load check of weights and states: each array has its exact shape
+    in `shapes`, the config's dtype and finite values, or ValueError names
+    the first that does not as `name(i)` (built only then)."""
+    for i, (arr, shape) in enumerate(zip(arrays, shapes)):
+        if arr.shape != shape or arr.dtype != config.np_dtype:
+            raise ValueError(f"{name(i)} is {arr.dtype} {arr.shape}, {needs} {config.dtype} {shape}")
+        at = _non_finite_at(arr)
+        if at is not None:
+            raise ValueError(f"{name(i)}: non-finite value at index {at}")
 
 
 def _check_features(
@@ -257,16 +271,9 @@ class ModelWeights:
             raise ValueError(
                 f"weight name mismatch: missing {sorted(missing)}, unexpected {sorted(extra)}"
             )
-        for name, shape in shapes.items():
-            arr = self.named[name]
-            if arr.shape != shape or arr.dtype != cfg.np_dtype:
-                raise ValueError(
-                    f"weight {name!r} is {arr.dtype} {arr.shape}, config needs {cfg.dtype} {shape}"
-                )
-            at = _non_finite_at(arr)
-            if at is not None:
-                raise ValueError(f"weight {name!r}: non-finite value at index {at}")
         self.named = {name: self.named[name] for name in shapes}
+        names = list(shapes)
+        _check_tensors(self.named.values(), shapes.values(), cfg, lambda i: f"weight {names[i]!r}")
         self.wqkv = [pack_qkv(tensor, self.named, cfg, l) for l in range(cfg.n_layers)]
 
 
@@ -323,7 +330,7 @@ def load_model(path: str) -> ModelWeights:
 
 @dataclass
 class AttentionState:
-    """Per-head cached key/value rows; between 0 and past_size frames."""
+    """Per-head cached key/value rows, as many as `state_shapes` gives."""
 
     pk: list[np.ndarray]
     pv: list[np.ndarray]
@@ -349,32 +356,39 @@ class DecoderState:
     frame_offset: int = 0
 
 
+def state_shapes(config: DecoderConfig, frame_offset: int) -> list[tuple[int, ...]]:
+    """The shape of every state tensor `frame_offset` frames into a stream,
+    in CFPS order: per layer each head's key cache, each head's value
+    cache, the conv1 and conv2 tails. A cache holds min(frame_offset,
+    past_size) rows (frame_offset under ALL), a tail kernel-1 rows."""
+    rows = frame_offset if config.past_size == ALL else min(frame_offset, config.past_size)
+    cache = [(rows, config.d_head)] * (2 * config.n_heads)
+    tails = [(config.kernel1 - 1, config.d_model), (config.kernel2 - 1, config.d_ff)]
+    return (cache + tails) * config.n_layers
+
+
+def _state_from_tensors(tensors: list[np.ndarray], frame_offset: int, h: int) -> DecoderState:
+    """Regroup tensors in `state_shapes` order, `h` heads per layer."""
+    layers = [
+        LayerState(
+            attn=AttentionState(pk=tensors[b : b + h], pv=tensors[b + h : b + 2 * h]),
+            conv=ConvState(pc1=tensors[b + 2 * h], pc2=tensors[b + 2 * h + 1]),
+        )
+        for b in range(0, len(tensors), 2 * h + 2)
+    ]
+    return DecoderState(layers=layers, frame_offset=frame_offset)
+
+
 def init_state(config: DecoderConfig) -> DecoderState:
+    """Empty caches and zero conv tails: the state before frame 0."""
     dt = config.np_dtype
-    layers = []
-    for _ in range(config.n_layers):
-        attn = AttentionState(
-            pk=[np.zeros((0, config.d_head), dtype=dt) for _ in range(config.n_heads)],
-            pv=[np.zeros((0, config.d_head), dtype=dt) for _ in range(config.n_heads)],
-        )
-        conv = ConvState(
-            pc1=np.zeros((config.kernel1 - 1, config.d_model), dtype=dt),
-            pc2=np.zeros((config.kernel2 - 1, config.d_ff), dtype=dt),
-        )
-        layers.append(LayerState(attn=attn, conv=conv))
-    return DecoderState(layers=layers, frame_offset=0)
+    zeros = [np.zeros(shape, dtype=dt) for shape in state_shapes(config, 0)]
+    return _state_from_tensors(zeros, 0, config.n_heads)
 
 
 def state_tensor_list(state: DecoderState) -> list[np.ndarray]:
-    """Flatten to the snapshot order: per layer pk per head, pv per head,
-    then the two conv tails."""
-    out: list[np.ndarray] = []
-    for ls in state.layers:
-        out.extend(ls.attn.pk)
-        out.extend(ls.attn.pv)
-        out.append(ls.conv.pc1)
-        out.append(ls.conv.pc2)
-    return out
+    """The state's tensors in `state_shapes` order."""
+    return [a for ls in state.layers for a in (*ls.attn.pk, *ls.attn.pv, ls.conv.pc1, ls.conv.pc2)]
 
 
 def save_decoder_state(path: str, state: DecoderState) -> None:
@@ -382,54 +396,27 @@ def save_decoder_state(path: str, state: DecoderState) -> None:
 
 
 def load_decoder_state(path: str, config: DecoderConfig) -> DecoderState:
+    """Read a CFPS snapshot and check every tensor against `state_shapes`
+    (exact shape, the config's dtype, finite values): FormatError
+    otherwise, naming the tensor."""
     frame_offset, tensors = io.load_state(path)
-    per_layer = 2 * config.n_heads + 2
-    expected = config.n_layers * per_layer
-    if len(tensors) != expected:
-        raise io.FormatError(
-            f"{path}: snapshot holds {len(tensors)} tensors, config needs {expected}"
-        )
-    rows = frame_offset if config.past_size == ALL else min(frame_offset, config.past_size)
-    layers = []
-    for l in range(config.n_layers):
-        block = tensors[l * per_layer : (l + 1) * per_layer]
-        h = config.n_heads
-        pk, pv = block[:h], block[h : 2 * h]
-        pc1, pc2 = block[2 * h], block[2 * h + 1]
-        names = [f"head {i} {c} cache" for c in ("key", "value") for i in range(h)]
-        for what, arr in zip(names + ["conv1 tail", "conv2 tail"], block):
-            if arr.dtype != config.np_dtype:
-                raise io.FormatError(f"{path}: state dtype {arr.dtype} != config {config.dtype}")
-            at = _non_finite_at(arr)
-            if at is not None:
-                raise io.FormatError(f"{path}: layer {l} {what}: non-finite value at index {at}")
-        if pc1.shape != (config.kernel1 - 1, config.d_model):
-            raise io.FormatError(f"{path}: conv1 tail shape {pc1.shape} invalid")
-        if pc2.shape != (config.kernel2 - 1, config.d_ff):
-            raise io.FormatError(f"{path}: conv2 tail shape {pc2.shape} invalid")
-        for arr in pk + pv:
-            if arr.ndim != 2 or arr.shape[1] != config.d_head:
-                raise io.FormatError(f"{path}: cache row width {arr.shape} != d_head")
-        for i, (k, v) in enumerate(zip(pk, pv)):
-            where = f"{path}: layer {l} head {i}"
-            if len(k) != len(v):
-                raise io.FormatError(f"{where}: key cache has {len(k)} rows, value cache {len(v)}")
-            if config.past_size != ALL and len(k) > config.past_size:
-                raise io.FormatError(
-                    f"{where}: cache holds {len(k)} rows, more than past_size {config.past_size}"
-                )
-            if len(k) != rows:
-                raise io.FormatError(
-                    f"{where}: cache holds {len(k)} rows, frame offset {frame_offset} "
-                    f"with past_size {config.past_size} needs {rows}"
-                )
-        layers.append(
-            LayerState(
-                attn=AttentionState(pk=list(pk), pv=list(pv)),
-                conv=ConvState(pc1=pc1, pc2=pc2),
-            )
-        )
-    return DecoderState(layers=layers, frame_offset=frame_offset)
+    shapes = state_shapes(config, frame_offset)
+    h = config.n_heads
+
+    def name(i):
+        l, j = divmod(i, 2 * h + 2)
+        if j >= 2 * h:
+            return f"layer {l} conv{j - 2 * h + 1} tail"
+        return f"layer {l} head {j % h} {'key' if j < h else 'value'} cache"
+
+    try:
+        if len(tensors) != len(shapes):
+            raise ValueError(f"snapshot holds {len(tensors)} tensors, config needs {len(shapes)}")
+        needs = f"frame offset {frame_offset} with past_size {config.past_size} needs"
+        _check_tensors(tensors, shapes, config, name, needs)
+    except ValueError as e:
+        raise io.FormatError(f"{path}: {e}") from e
+    return _state_from_tensors(tensors, frame_offset, h)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +515,11 @@ def _decode(ops, x, params, wqkv, state: DecoderState, config: DecoderConfig, ma
     frames of `x` following `state`; returns the Mel and the next state."""
     pe = positional_encoding(state.frame_offset, len(x), config.d_model, config.dtype)
     h = ops.add(x, pe)
+    if len(state.layers) != config.n_layers:
+        raise ShapeError(f"state has {len(state.layers)} layers, the model {config.n_layers}")
     layers = []
-    for l, st in enumerate(state.layers):
-        h, st = fft_block_step(ops, h, params, wqkv[l], l, st, config, mask)
+    for l in range(config.n_layers):
+        h, st = fft_block_step(ops, h, params, wqkv[l], l, state.layers[l], config, mask)
         layers.append(st)
     mel = ops.add_bias(ops.matmul(h, params["proj_w"]), params["proj_b"])
     return mel, DecoderState(layers=layers, frame_offset=state.frame_offset + len(x))

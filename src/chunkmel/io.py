@@ -9,7 +9,9 @@ until end of file.
 
 CFPS: magic "CFPS", u64-LE frame offset, then CTN1 records until end of
 file, in layer order: per-head past keys, per-head past values, first conv
-state, second conv state.
+state, second conv state. `decoder.state_shapes` states the shape of each
+record for a config and frame offset, and so the cache bound;
+`decoder.load_decoder_state` checks a snapshot tensor by tensor against it.
 """
 
 from __future__ import annotations

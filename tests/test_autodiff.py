@@ -10,7 +10,7 @@ allowed to disagree.
 import numpy as np
 import pytest
 
-import reference
+import dense_reference
 from chunkmel import autodiff, tensor
 from chunkmel.tensor import ShapeError
 
@@ -239,8 +239,8 @@ def test_matmul_vjp_matches_loop_products(dtype, tol):
     g = rand((30, 48), 52).astype(dtype)
     da, db = autodiff.matmul(a, b).vjp(g)
     assert da.dtype == db.dtype == dtype
-    assert rel_err(da, reference.matmul_loops(g, np.ascontiguousarray(b.T))) <= tol
-    assert rel_err(db, reference.matmul_loops(np.ascontiguousarray(a.T), g)) <= tol
+    assert rel_err(da, dense_reference.matmul_loops(g, np.ascontiguousarray(b.T))) <= tol
+    assert rel_err(db, dense_reference.matmul_loops(np.ascontiguousarray(a.T), g)) <= tol
 
 
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -251,7 +251,7 @@ def test_causal_conv_vjp_matches_loop_products(dtype, tol, k):
     b = rand(12, 55 + k).astype(dtype)
     g = rand((20, 12), 56 + k).astype(dtype)
     dx, dw, db = autodiff.causal_conv1d(x, w, b).vjp(g)
-    want_dx, want_dw = reference.conv_vjp_loops(x, w, g)
+    want_dx, want_dw = dense_reference.conv_vjp_loops(x, w, g)
     assert dx.dtype == dw.dtype == dtype
     assert rel_err(dx, want_dx) <= tol
     assert rel_err(dw, want_dw) <= tol

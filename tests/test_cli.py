@@ -92,6 +92,20 @@ class TestMsdCommand:
         io.save_tensor(p, np.zeros((2, 2)))
         assert cli.cli_dispatch(["msd", p, str(tmp_path / "nope.ctn")]) == 3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_usage_error_naming_file_and_index(self, tmp_path, capsys, bad):
+        good = np.zeros((5, 3))
+        worse = good.copy()
+        worse[3, 1] = bad
+        p_good, p_bad = str(tmp_path / "good.ctn"), str(tmp_path / "bad.ctn")
+        io.save_tensor(p_good, good)
+        io.save_tensor(p_bad, worse)
+        for pair in ([p_good, p_bad], [p_bad, p_good]):
+            assert cli.cli_dispatch(["msd", *pair]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"{p_bad}: non-finite value at index (3, 1)" in err
+
 
 class TestConfigHandling:
     def test_dump_config_roundtrips(self, capsys):
@@ -292,7 +306,10 @@ class TestSynthCommand:
              "--out", str(tmp_path / "o.ctn"), "--state-in", state_path]
         )
         assert code == 3
-        assert "more than past_size" in capsys.readouterr().err
+        assert (
+            "layer 0 head 0 key cache is float64 (40, 4), frame offset 40 with past_size 2 "
+            "needs f64 (2, 4)" in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "name, bad, message",

@@ -2,11 +2,12 @@
 positional encoding, and receptive field analysis."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-import reference
+import dense_reference
 from chunkmel import autodiff, decoder, io, masks, tensor
 from chunkmel.tensor import ShapeError
 
@@ -94,21 +95,31 @@ class TestEquivalence:
 
 
 class TestCaches:
-    def test_cache_boundedness(self):
-        cfg = tiny_cfg(chunk_size=4, past_size=5)
-        model = decoder.init_weights(cfg, seed=0)
-        feats = make_inputs(cfg, 23, seed=1)
-        state = decoder.init_state(cfg)
-        consumed = 0
-        for start in range(0, 23, 4):
-            _, state = decoder.decode_chunk(feats[start : start + 4], model, state)
-            consumed = min(23, start + 4)
-            for ls in state.layers:
-                for pk, pv in zip(ls.attn.pk, ls.attn.pv):
-                    assert len(pk) == len(pv) == min(5, consumed)
-                assert ls.conv.pc1.shape == (cfg.kernel1 - 1, cfg.d_model)
-                assert ls.conv.pc2.shape == (cfg.kernel2 - 1, cfg.d_ff)
-        assert state.frame_offset == 23
+    def test_cache_boundedness(self, tmp_path):
+        # past 0, below, at and above the chunk of 4, and all; 23 frames end
+        # in a 3-frame chunk, and each stream is saved and resumed at frame 12.
+        # The measured shapes must be the ones `state_shapes` states.
+        for past in (0, 2, 4, 5, masks.ALL):
+            cfg = tiny_cfg(chunk_size=4, past_size=past)
+            model = decoder.init_weights(cfg, seed=0)
+            feats = make_inputs(cfg, 23, seed=1)
+            state = decoder.init_state(cfg)
+            path = str(tmp_path / "s.cfps")
+            for start in range(0, 23, 4):
+                _, state = decoder.decode_chunk(feats[start : start + 4], model, state)
+                if state.frame_offset == 12:
+                    decoder.save_decoder_state(path, state)
+                    state = decoder.load_decoder_state(path, cfg)
+                consumed = min(23, start + 4)
+                rows = consumed if past == masks.ALL else min(past, consumed)
+                for ls in state.layers:
+                    for pk, pv in zip(ls.attn.pk, ls.attn.pv):
+                        assert len(pk) == len(pv) == rows
+                    assert ls.conv.pc1.shape == (cfg.kernel1 - 1, cfg.d_model)
+                    assert ls.conv.pc2.shape == (cfg.kernel2 - 1, cfg.d_ff)
+                shapes = [a.shape for a in decoder.state_tensor_list(state)]
+                assert shapes == decoder.state_shapes(cfg, state.frame_offset)
+            assert state.frame_offset == 23
 
     def test_cache_holds_exactly_the_last_past_keys(self):
         # Three chunks of 4 with past 5: afterwards the layer-0 cache
@@ -252,29 +263,81 @@ class TestStateFiles:
     def test_state_rejects_cache_longer_than_past(self, tmp_path):
         cfg = tiny_cfg(past_size=15)
         path = self.write_state(tmp_path, cfg, frame_offset=40, k_rows=40)
-        with pytest.raises(io.FormatError, match="more than past_size 15"):
+        with pytest.raises(
+            io.FormatError,
+            match=r"layer 0 head 0 key cache is float64 \(40, 4\), "
+            r"frame offset 40 with past_size 15 needs f64 \(15, 4\)",
+        ):
             decoder.load_decoder_state(path, cfg)
 
     def test_state_rejects_unequal_key_and_value_caches(self, tmp_path):
         cfg = tiny_cfg(past_size=15)
         path = self.write_state(tmp_path, cfg, frame_offset=40, k_rows=15, v_rows=14)
-        with pytest.raises(io.FormatError, match="key cache has 15 rows, value cache 14"):
+        with pytest.raises(
+            io.FormatError,
+            match=r"layer 0 head 0 value cache is float64 \(14, 4\), "
+            r"frame offset 40 with past_size 15 needs f64 \(15, 4\)",
+        ):
             decoder.load_decoder_state(path, cfg)
 
     def test_state_rejects_rows_that_do_not_match_frame_offset(self, tmp_path):
         cfg = tiny_cfg(past_size=15)
         path = self.write_state(tmp_path, cfg, frame_offset=40, k_rows=10)
-        with pytest.raises(io.FormatError, match="needs 15"):
+        with pytest.raises(
+            io.FormatError, match=r"frame offset 40 with past_size 15 needs f64 \(15, 4\)"
+        ):
             decoder.load_decoder_state(path, cfg)
         path = self.write_state(tmp_path, cfg, frame_offset=8, k_rows=10)
-        with pytest.raises(io.FormatError, match="needs 8"):
+        with pytest.raises(
+            io.FormatError, match=r"frame offset 8 with past_size 15 needs f64 \(8, 4\)"
+        ):
             decoder.load_decoder_state(path, cfg)
         cfg_all = tiny_cfg(past_size=masks.ALL)
         path = self.write_state(tmp_path, cfg_all, frame_offset=40, k_rows=15)
-        with pytest.raises(io.FormatError, match="needs 40"):
+        with pytest.raises(
+            io.FormatError, match=r"frame offset 40 with past_size all needs f64 \(40, 4\)"
+        ):
             decoder.load_decoder_state(path, cfg_all)
         path = self.write_state(tmp_path, cfg_all, frame_offset=40, k_rows=40)
         assert decoder.load_decoder_state(path, cfg_all).frame_offset == 40
+
+    SNAPSHOT_NAMES = [
+        f"layer {l} {what}"
+        for l in range(2)
+        for what in (
+            "head 0 key cache",
+            "head 1 key cache",
+            "head 0 value cache",
+            "head 1 value cache",
+            "conv1 tail",
+            "conv2 tail",
+        )
+    ]
+    CORRUPTIONS = {
+        "row-more": lambda a: np.concatenate([a, a[:1]]),
+        "row-fewer": lambda a: a[1:],
+        "column-more": lambda a: np.concatenate([a, a[:, :1]], axis=1),
+        "f32": lambda a: a.astype(np.float32),
+        "flattened": lambda a: a.reshape(-1),
+        "nan": lambda a: np.where(np.arange(a.size).reshape(a.shape) == a.size // 2, np.nan, a),
+    }
+
+    @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+    @pytest.mark.parametrize("position", range(12))
+    @pytest.mark.parametrize("past", [3, masks.ALL])
+    def test_each_corrupted_snapshot_tensor_is_named(self, tmp_path, past, position, corruption):
+        cfg = tiny_cfg(past_size=past)
+        _, state = decoder.decode_incremental(
+            make_inputs(cfg, 10, seed=19), decoder.init_weights(cfg, seed=20)
+        )
+        tensors = decoder.state_tensor_list(state)
+        assert len(tensors) == len(self.SNAPSHOT_NAMES)
+        tensors[position] = self.CORRUPTIONS[corruption](tensors[position])
+        path = str(tmp_path / "s.cfps")
+        io.save_state(path, state.frame_offset, tensors)
+        name = self.SNAPSHOT_NAMES[position]
+        with pytest.raises(io.FormatError, match=f"^{re.escape(path)}: {name}[ :]"):
+            decoder.load_decoder_state(path, cfg)
 
     def test_named_weights_roundtrip_and_coverage(self):
         cfg = tiny_cfg()
@@ -327,7 +390,7 @@ class TestPositionalEncoding:
 
     def test_against_high_precision_reference(self):
         pe = decoder.positional_encoding(7, 9, 12)
-        ref = reference.posenc_mp(7, 9, 12)
+        ref = dense_reference.posenc_mp(7, 9, 12)
         assert np.max(np.abs(pe - ref)) <= 1e-12
 
     def test_f32_casts_after_f64_angles(self):
@@ -360,7 +423,7 @@ class TestBlockUnits:
             k = x @ w[f"layers.0.wk.{i}"]
             v = x @ w[f"layers.0.wv.{i}"]
             logits = (q @ k.T) / np.sqrt(cfg.d_head)
-            probs = reference.softmax_rows_mp(logits)
+            probs = dense_reference.softmax_rows_mp(logits)
             heads.append(probs @ v)
         expect = np.concatenate(heads, axis=1) @ w["layers.0.wo"]
         assert np.max(np.abs(got - expect)) <= 1e-12
@@ -527,6 +590,18 @@ class TestConfig:
         feats = make_inputs(cfg, 6)
         with pytest.raises(ShapeError):
             decoder.decode_parallel_masked(feats, model, masks.build_static_mask(5, 2, 1))
+
+    def test_state_of_another_layer_count_is_a_shape_error(self):
+        # a shorter state used to decode as a shorter model, a longer one
+        # to fail with IndexError
+        for model_layers, state_layers in ((2, 1), (1, 2)):
+            model = decoder.init_weights(tiny_cfg(n_layers=model_layers), seed=0)
+            state = decoder.init_state(tiny_cfg(n_layers=state_layers))
+            feats = make_inputs(model.config, 4)
+            with pytest.raises(
+                ShapeError, match=f"state has {state_layers} layers, the model {model_layers}"
+            ):
+                decoder.decode_chunk(feats, model, state)
 
     def test_non_finite_features_name_the_first_bad_frame(self):
         cfg = tiny_cfg()

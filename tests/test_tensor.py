@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
+import dense_reference
 from chunkmel import masks, tensor
 from chunkmel.tensor import MaskError, ShapeError
 
@@ -33,7 +33,7 @@ def test_matmul_matches_triple_loop_exactly(dtype, m, k, n):
     a = rand((m, k), dtype, seed=m * 100 + k)
     b = rand((k, n), dtype, seed=n * 100 + k + 1)
     got = tensor.matmul(a, b)
-    want = reference.matmul_loops(a, b)
+    want = dense_reference.matmul_loops(a, b)
     assert got.dtype == dtype
     assert np.array_equal(got, want)
 
@@ -47,7 +47,7 @@ def test_matmul_exact_on_transposed_views(dtype):
     a = rand((12, 9), dtype, seed=3)
     b = rand((17, 12), dtype, seed=4)
     got = tensor.matmul(a.T, b.T)
-    want = reference.matmul_loops(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
+    want = dense_reference.matmul_loops(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
     assert np.array_equal(got, want)
 
 
@@ -103,7 +103,7 @@ def test_batched_matmul_matches_triple_loop_per_batch(dtype, b, m, k, n):
     got = tensor.matmul(x, y)
     assert got.shape == (b, m, n) and got.dtype == dtype
     for i in range(b):
-        assert np.array_equal(got[i], reference.matmul_loops(x[i], y[i]))
+        assert np.array_equal(got[i], dense_reference.matmul_loops(x[i], y[i]))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -123,7 +123,7 @@ def test_batched_matmul_exact_on_window_views(dtype, d):
     for x, y in products:
         got = tensor.matmul(x, y)
         for i in range(12):
-            want = reference.matmul_loops(np.ascontiguousarray(x[i]), np.ascontiguousarray(y[i]))
+            want = dense_reference.matmul_loops(np.ascontiguousarray(x[i]), np.ascontiguousarray(y[i]))
             assert np.array_equal(got[i], want)
 
 
@@ -178,7 +178,7 @@ def test_sum_ordered_equals_accumulate_over_rows_and_widths(dtype):
 def test_softmax_matches_mpmath():
     x = rand((6, 14), seed=21) * 10.0
     got = tensor.masked_softmax(x, None)
-    want = reference.softmax_rows_mp(x)
+    want = dense_reference.softmax_rows_mp(x)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -188,7 +188,7 @@ def test_masked_softmax_matches_mpmath_under_mask():
     perm = rng.random((8, 10)) < 0.5
     perm[:, 0] = True  # keep every row alive
     got = tensor.masked_softmax(x, perm)
-    want = reference.softmax_rows_mp(x, perm)
+    want = dense_reference.softmax_rows_mp(x, perm)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.array_equal(got[~perm], np.zeros(np.count_nonzero(~perm)))
 
@@ -329,7 +329,7 @@ def test_attention_equals_dense_reference_bytewise(t, chunk, past, d, dtype):
     m = masks.build_static_mask(t, chunk, past)
     got = tensor.attention(q, k, v, m, 0.4)
     assert got.dtype == dtype
-    assert got.tobytes() == reference.masked_attention_dense(q, k, v, m.permitted, 0.4).tobytes()
+    assert got.tobytes() == dense_reference.masked_attention_dense(q, k, v, m.permitted, 0.4).tobytes()
 
 
 def test_attention_rejects_dead_rows_and_bad_masks():
@@ -352,7 +352,7 @@ def test_layer_norm_matches_mpmath():
     gamma = rand(16, seed=4)
     beta = rand(16, seed=5)
     got = tensor.layer_norm(x, gamma, beta, eps=1e-5)
-    want = reference.layer_norm_mp(x, gamma, beta, eps=1e-5)
+    want = dense_reference.layer_norm_mp(x, gamma, beta, eps=1e-5)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
@@ -429,7 +429,7 @@ def test_conv_matches_sliding_window_exactly(dtype, k):
     b = rand(d_out, dtype, seed=k + 99)
     got = tensor.causal_conv1d(x, w, b)
     assert got.shape == (t, d_out)
-    assert np.array_equal(got, reference.conv_loops(x, w, b))
+    assert np.array_equal(got, dense_reference.conv_loops(x, w, b))
     # longer inputs at the decoder's widths, against one product per tap
     for t, d_in, d_out in [(1, 32, 64), (30, 64, 32), (1000, 32, 64)]:
         x = rand((t + k - 1, d_in), dtype, seed=t + k)

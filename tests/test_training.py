@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-import reference
+import dense_reference
 from chunkmel import decoder, masks, tensor, training
 
 
@@ -139,7 +139,7 @@ class TestOptimizer:
                 assert abs(info["grad_norm"] - norm_target) <= 1e-12
                 scale = tc.clip_norm / norm_target if want_clip else 1.0
                 for name, p in params.items():
-                    ref_p, ref_m, ref_v = reference.adam_step_loops(
+                    ref_p, ref_m, ref_v = dense_reference.adam_step_loops(
                         p,
                         grads[name] * scale,
                         opt.m[name],
