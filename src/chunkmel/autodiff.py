@@ -127,7 +127,7 @@ def masked_softmax(logits, mask=None) -> Node:
     p = tensor.masked_softmax(xn.value, mask)
 
     def vjp(g):
-        inner = np.sum(g * p, axis=-1, keepdims=True)
+        inner = np.add.reduce(g * p, axis=-1, keepdims=True)
         return (p * (g - inner),)
 
     return Node(p, "masked_softmax", (xn,), vjp)
@@ -147,24 +147,38 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Node:
     xn, gn, bn = _lift(x), _lift(gamma), _lift(beta)
     out = tensor.layer_norm(xn.value, gn.value, bn.value, eps)
     xv = xn.value
-    mu = np.mean(xv, axis=-1, keepdims=True)
+    d = xv.shape[-1]
+    # np.add.reduce(...) / d is what np.mean computes, without its wrapper.
+    mu = np.add.reduce(xv, axis=-1, keepdims=True) / d
     xc = xv - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + xv.dtype.type(eps))
     xhat = xc * inv
 
     def vjp(g):
-        dgamma = np.sum(g * xhat, axis=0)
-        dbeta = np.sum(g, axis=0)
+        dgamma = np.add.reduce(g * xhat, axis=0)
+        dbeta = np.add.reduce(g, axis=0)
         dxhat = g * gn.value
         dx = inv * (
             dxhat
-            - np.mean(dxhat, axis=-1, keepdims=True)
-            - xhat * np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+            - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         )
         return dx, dgamma, dbeta
 
     return Node(out, "layer_norm", (xn, gn, bn), vjp)
+
+
+def pack_taps(w) -> Node:
+    wn = _lift(w)
+    out = tensor.pack_taps(wn.value)
+    k, d_in, d_out = wn.value.shape
+
+    def vjp(g):
+        # back to (k, d_in, d_out), C-contiguous like the taps themselves
+        return (np.ascontiguousarray(g.reshape(d_in, k, d_out).transpose(1, 0, 2)),)
+
+    return Node(out, "pack_taps", (wn,), vjp)
 
 
 def causal_conv1d(x, w, b) -> Node:
@@ -172,14 +186,14 @@ def causal_conv1d(x, w, b) -> Node:
     out = tensor.causal_conv1d(xn.value, wn.value, bn.value)
 
     def vjp(g):
-        k = wn.value.shape[0]
-        t_out = g.shape[0]
+        t_out, d_out = g.shape
         dx = np.zeros_like(xn.value)
-        dw = np.zeros_like(wn.value)
-        for j in range(k):
-            dx[j : j + t_out] += g @ wn.value[j].T
-            dw[j] = xn.value[j : j + t_out].T @ g
-        return dx, dw, np.sum(g, axis=0)
+        dw = np.empty_like(wn.value)  # every tap's columns are written below
+        for j in range(wn.value.shape[1] // d_out):
+            cols = slice(j * d_out, (j + 1) * d_out)
+            dx[j : j + t_out] += g @ wn.value[:, cols].T
+            dw[:, cols] = xn.value[j : j + t_out].T @ g
+        return dx, dw, np.add.reduce(g, axis=0)
 
     return Node(out, "causal_conv1d", (xn, wn, bn), vjp)
 
@@ -264,7 +278,7 @@ def add_bias(x, b) -> Node:
     out = tensor.add_bias(xn.value, bn.value)
 
     def vjp(g):
-        return g, np.sum(g, axis=0)
+        return g, np.add.reduce(g, axis=0)
 
     return Node(out, "add_bias", (xn, bn), vjp)
 

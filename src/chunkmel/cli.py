@@ -212,10 +212,11 @@ def _cmd_train(args) -> int:
                 f,
                 indent=2,
             )
-    print(
-        f"trained {train_cfg.steps} steps: loss {result.initial_loss:.6f} -> {result.final_loss:.6f}",
-        file=sys.stderr,
-    )
+    if result.log:
+        summary = f"loss {result.initial_loss:.6f} -> {result.final_loss:.6f}"
+    else:
+        summary = "no loss"
+    print(f"trained {train_cfg.steps} steps: {summary}", file=sys.stderr)
     return 0
 
 

@@ -17,12 +17,14 @@ and runs every route:
 
 Weights live in one name -> tensor map, the CFPW layout of
 `weight_shapes`. `ModelWeights` checks it against the config and packs
-each layer's `wq | wk | wv` heads side by side once, so a layer makes one
-QKV product; `forward_named` packs in the graph, so gradients reach the
-per-head tensors; `decode_parallel_masked` multiplies by the packed
-projections. Under a mask, `tensor.attention` scores each chunk only
-against its own key window, a run of chunks in one batched product:
-O(T·window), not O(T²).
+each layer's product operands once (`pack_layer`): the `wq | wk | wv`
+heads side by side, so a layer makes one QKV product, and each conv's
+taps side by side, so a conv makes one product. Both decode routes
+multiply by those and never repack; `forward_named` packs in the graph,
+so gradients reach the per-head tensors and the 3-D taps. Positional
+frequencies are computed once per model width. Under a mask,
+`tensor.attention` scores each chunk only against its own key window, a
+run of chunks in a few batched products: O(T·window), not O(T²).
 
 Every product and reduction sums in the same left-to-right order on both
 routes (a fused QKV or conv product element sums what a per-head or
@@ -32,6 +34,7 @@ the outputs agree bit for bit, up to the sign of zero ties.
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 import typing
@@ -237,11 +240,24 @@ def weight_shapes(config: DecoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def pack_qkv(ops, params, config: DecoderConfig, l: int):
+class PackedLayer(typing.NamedTuple):
+    """Layer l's product operands, each packed side by side."""
+
+    wqkv: object
+    conv1_w: object
+    conv2_w: object
+
+
+def pack_layer(ops, params, config: DecoderConfig, l: int) -> PackedLayer:
     """Layer l's query, key and value projections side by side,
-    [wq_0 .. wq_h-1 | wk_0 .. | wv_0 ..]: the columns of one QKV product."""
-    return ops.concat_feat(
-        [params[f"layers.{l}.{t}.{i}"] for t in HEAD_TENSORS for i in range(config.n_heads)]
+    [wq_0 .. wq_h-1 | wk_0 .. | wv_0 ..], the columns of one QKV product,
+    and each conv's taps side by side (`pack_taps`), the columns of one
+    conv product."""
+    pref = f"layers.{l}."
+    return PackedLayer(
+        ops.concat_feat([params[f"{pref}{t}.{i}"] for t in HEAD_TENSORS for i in range(config.n_heads)]),
+        ops.pack_taps(params[pref + "conv1_w"]),
+        ops.pack_taps(params[pref + "conv2_w"]),
     )
 
 
@@ -252,15 +268,15 @@ class ModelWeights:
     `named` maps the dotted names of `weight_shapes` to tensors: the CFPW
     layout, and what training optimises. Construction copies the map,
     checks every tensor's shape, dtype and finiteness against the config
-    (ValueError), and packs each layer's projections into `wqkv[l]` once
-    (`pack_qkv`), so the chunk step never repacks. Treat the model as
+    (ValueError), and packs each layer's projections and conv taps into
+    `packed[l]` once (`pack_layer`), so no decode repacks. Treat the model as
     read-only: edit the copy `weights_to_named` returns and build a new
     `ModelWeights` from it.
     """
 
     config: DecoderConfig
     named: dict[str, np.ndarray] = field(repr=False)
-    wqkv: list[np.ndarray] = field(init=False, repr=False)
+    packed: list[PackedLayer] = field(init=False, repr=False)
 
     def __post_init__(self):
         cfg = self.config
@@ -274,7 +290,7 @@ class ModelWeights:
         self.named = {name: self.named[name] for name in shapes}
         names = list(shapes)
         _check_tensors(self.named.values(), shapes.values(), cfg, lambda i: f"weight {names[i]!r}")
-        self.wqkv = [pack_qkv(tensor, self.named, cfg, l) for l in range(cfg.n_layers)]
+        self.packed = [pack_layer(tensor, self.named, cfg, l) for l in range(cfg.n_layers)]
 
 
 def init_weights(config: DecoderConfig, seed: int) -> ModelWeights:
@@ -423,22 +439,29 @@ def load_decoder_state(path: str, config: DecoderConfig) -> DecoderState:
 # Positional encoding.
 
 
+@functools.lru_cache(maxsize=8)
+def _frequency_divisors(d_model: int) -> np.ndarray:
+    """10000^(2i / d_model) for each sin/cos column pair i; read-only."""
+    div = np.power(10000.0, np.arange(0, d_model, 2, dtype=np.float64) / float(d_model))
+    div.flags.writeable = False
+    return div
+
+
 def positional_encoding(offset: int, length: int, d_model: int, dtype: str = "f64") -> np.ndarray:
     """Sinusoidal rows for absolute positions offset .. offset+length-1.
 
     Row values depend only on the absolute position, never on how the
     sequence was chunked, so incremental and parallel runs add identical
-    encodings. Angles are computed in f64 and cast once at the end.
+    encodings. Angles are computed in f64, once for both the sin and the
+    cos columns, and each is cast to `dtype` as it is written.
     """
     if length < 0 or offset < 0:
         raise ValueError(f"invalid positional range offset={offset} length={length}")
-    pos = np.arange(offset, offset + length, dtype=np.float64)[:, None]
-    idx = np.arange(0, d_model, 2, dtype=np.float64)
-    div = np.power(10000.0, idx / float(d_model))
-    pe = np.zeros((length, d_model), dtype=np.float64)
-    pe[:, 0::2] = np.sin(pos / div)
-    pe[:, 1::2] = np.cos(pos / div[: d_model // 2])
-    return pe.astype(DTYPES[dtype])
+    angle = np.arange(offset, offset + length, dtype=np.float64)[:, None] / _frequency_divisors(d_model)
+    pe = np.empty((length, d_model), dtype=DTYPES[dtype])
+    np.sin(angle, out=pe[:, 0::2])
+    np.cos(angle[:, : d_model // 2], out=pe[:, 1::2])
+    return pe
 
 
 # ---------------------------------------------------------------------------
@@ -470,19 +493,19 @@ def mha_chunk_step(ops, x, wqkv, wo, st: AttentionState, config: DecoderConfig, 
     return ops.matmul(ops.concat_feat(heads), wo), AttentionState(pk=pk, pv=pv)
 
 
-def ffn_chunk_step(ops, x, params, l: int, st: ConvState, config: DecoderConfig):
-    """Layer l's two causal convolutions over carried tails; both ReLU.
+def ffn_chunk_step(ops, x, w1, b1, w2, b2, st: ConvState, config: DecoderConfig):
+    """Two causal convolutions over carried tails; both ReLU.
 
-    Each conv prepends its kernel-1 carried frames (zeros at sequence
-    start), so the chunked result equals the left-zero-padded
-    whole-sequence convolution frame for frame. New tails are the last
-    kernel-1 rows of each conv input.
+    `w1` and `w2` are the convs' packed taps (`pack_layer`), `b1` and
+    `b2` their biases. Each conv prepends its kernel-1 carried frames
+    (zeros at sequence start), so the chunked result equals the
+    left-zero-padded whole-sequence convolution frame for frame. New tails
+    are the last kernel-1 rows of each conv input.
     """
-    pref = f"layers.{l}."
     c1 = ops.concat_time(st.pc1, x)
-    o1 = ops.relu(ops.causal_conv1d(c1, params[pref + "conv1_w"], params[pref + "conv1_b"]))
+    o1 = ops.relu(ops.causal_conv1d(c1, w1, b1))
     c2 = ops.concat_time(st.pc2, o1)
-    o2 = ops.relu(ops.causal_conv1d(c2, params[pref + "conv2_w"], params[pref + "conv2_b"]))
+    o2 = ops.relu(ops.causal_conv1d(c2, w2, b2))
     tails = ConvState(
         pc1=ops.tail_slice(c1, config.kernel1 - 1),
         pc2=ops.tail_slice(c2, config.kernel2 - 1),
@@ -490,27 +513,30 @@ def ffn_chunk_step(ops, x, params, l: int, st: ConvState, config: DecoderConfig)
     return o2, tails
 
 
-def fft_block_step(ops, x, params, wqkv, l: int, st: LayerState, config: DecoderConfig, mask):
+def fft_block_step(ops, x, params, packed: PackedLayer, l: int, st: LayerState, config: DecoderConfig, mask):
     """Decoder block l, post-norm: LN(x + attention), LN(that + conv FFN).
 
     `ops` is the tensor module (plain arrays) or the autodiff module
     (recording nodes); `params` is the named weight map in that
-    namespace's tensors and `wqkv` layer l's packed projection. `st`
+    namespace's tensors and `packed` layer l's packed operands. `st`
     carries the caches in; the returned state carries them out.
     """
     pref = f"layers.{l}."
-    attn, attn_st = mha_chunk_step(ops, x, wqkv, params[pref + "wo"], st.attn, config, mask)
+    attn, attn_st = mha_chunk_step(ops, x, packed.wqkv, params[pref + "wo"], st.attn, config, mask)
     r1 = ops.layer_norm(
         ops.add(x, attn), params[pref + "ln1_gamma"], params[pref + "ln1_beta"], config.ln_eps
     )
-    ffn, conv_st = ffn_chunk_step(ops, r1, params, l, st.conv, config)
+    ffn, conv_st = ffn_chunk_step(
+        ops, r1, packed.conv1_w, params[pref + "conv1_b"], packed.conv2_w, params[pref + "conv2_b"],
+        st.conv, config,
+    )
     y = ops.layer_norm(
         ops.add(r1, ffn), params[pref + "ln2_gamma"], params[pref + "ln2_beta"], config.ln_eps
     )
     return y, LayerState(attn=attn_st, conv=conv_st)
 
 
-def _decode(ops, x, params, wqkv, state: DecoderState, config: DecoderConfig, mask):
+def _decode(ops, x, params, packed, state: DecoderState, config: DecoderConfig, mask):
     """Positional encoding, every block, then the Mel projection, for the
     frames of `x` following `state`; returns the Mel and the next state."""
     pe = positional_encoding(state.frame_offset, len(x), config.d_model, config.dtype)
@@ -519,7 +545,7 @@ def _decode(ops, x, params, wqkv, state: DecoderState, config: DecoderConfig, ma
         raise ShapeError(f"state has {len(state.layers)} layers, the model {config.n_layers}")
     layers = []
     for l in range(config.n_layers):
-        h, st = fft_block_step(ops, h, params, wqkv[l], l, state.layers[l], config, mask)
+        h, st = fft_block_step(ops, h, params, packed[l], l, state.layers[l], config, mask)
         layers.append(st)
     mel = ops.add_bias(ops.matmul(h, params["proj_w"]), params["proj_b"])
     return mel, DecoderState(layers=layers, frame_offset=state.frame_offset + len(x))
@@ -534,7 +560,7 @@ def decode_chunk(
 ) -> tuple[np.ndarray, DecoderState]:
     """One feature chunk to one Mel chunk, advancing the stream state."""
     _check_features(chunk, model.config, "decode_chunk", state.frame_offset)
-    return _decode(tensor, chunk, model.named, model.wqkv, state, model.config, None)
+    return _decode(tensor, chunk, model.named, model.packed, state, model.config, None)
 
 
 def decode_incremental(
@@ -574,10 +600,11 @@ def forward_named(ops, features, params, config: DecoderConfig, mask) -> object:
     empty caches and zero conv tails are the kernel-1 left zero-padding,
     runs the block body under `mask`, and drops the carried state. `ops`
     and `params` are as for `fft_block_step`. Each layer's projections
-    are packed in the graph, so gradients reach the per-head tensors.
+    and conv taps are packed in the graph, so gradients reach the per-head
+    tensors and the 3-D taps.
     """
-    wqkv = [pack_qkv(ops, params, config, l) for l in range(config.n_layers)]
-    mel, _ = _decode(ops, features, params, wqkv, init_state(config), config, mask)
+    packed = [pack_layer(ops, params, config, l) for l in range(config.n_layers)]
+    mel, _ = _decode(ops, features, params, packed, init_state(config), config, mask)
     return mel
 
 
@@ -587,7 +614,8 @@ def decode_parallel_masked(
     """Whole-sequence decode under a chunk mask; the oracle route.
 
     `forward_named` over plain arrays, except that it multiplies by the
-    projections `ModelWeights` packed once instead of packing them per call.
+    projections and conv taps `ModelWeights` packed once instead of
+    packing them per call.
     """
     cfg = model.config
     _check_features(features, cfg, "decode_parallel_masked")
@@ -595,7 +623,7 @@ def decode_parallel_masked(
         raise ShapeError(
             f"decode_parallel_masked: mask of {mask.total_frames} frames != frames {len(features)}"
         )
-    mel, _ = _decode(tensor, features, model.named, model.wqkv, init_state(cfg), cfg, mask)
+    mel, _ = _decode(tensor, features, model.named, model.packed, init_state(cfg), cfg, mask)
     return mel
 
 

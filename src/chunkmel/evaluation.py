@@ -40,6 +40,8 @@ def msd(a: np.ndarray, b: np.ndarray, mean_squared: bool = False) -> float:
     """
     if a.shape != b.shape or a.ndim != 2:
         raise tensor.ShapeError(f"msd: shapes {a.shape} and {b.shape} must match, 2-D")
+    if len(a) == 0:
+        raise tensor.ShapeError(f"msd: no frames to compare in shape {a.shape}")
     diff = a.astype(np.float64) - b.astype(np.float64)
     if mean_squared:
         return float(np.mean(diff * diff))

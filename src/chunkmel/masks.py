@@ -11,7 +11,7 @@ inference.
 For the parallel route a mask also plans its own attention work
 (`ChunkMask.key_groups`) from those windows: the runs of chunks whose
 windows repeat one chunk apart, so that `tensor.attention` scores a
-whole run in one batched product.
+run in a few batched products of bounded size.
 """
 
 from __future__ import annotations
@@ -36,6 +36,17 @@ PastSize = int | str
 # with 32-row and 23 ms with 128-row blocks. At chunk 1, past 1, where
 # the windows repeat and all chunks form one batched group, it took 9 ms.
 ATTENTION_BLOCK_ROWS = 32
+
+# Score cells (slices x rows x keys) per batched group at most; a longer
+# run of repeating windows is split into groups of this size. A group's
+# buffers are fresh allocations each time, and megabyte-sized ones cost
+# more per cell than batching saves. At T=1000 (default model, 2-core
+# x86-64, median of 6 alternating processes) `build_static_mask` plus
+# `decode_parallel_masked` took 40.3 -> 34.5 ms at chunk 31, past 300,
+# 31.1 -> 25.6 ms at chunk 30, past 150 and 35.8 -> 30.1 ms at chunk 16,
+# past 200 against one group per run; 2^14 and 2^15 read within noise
+# of 2^16, and 2^17 little better than one group.
+GROUP_CELLS = 2**16
 
 
 class KeyGroup(NamedTuple):
@@ -97,13 +108,14 @@ class ChunkMask:
 
         From chunk ⌈past/chunk⌉ on, every full chunk sees the past_size
         keys before it and its own, so those windows have one width and
-        start one chunk apart. A run of two or more such chunks is one
-        batched group, if the chunks are shorter than ATTENTION_BLOCK_ROWS:
-        a longer chunk is a block big enough to run alone, and batching
-        such slices only makes larger buffers. The other chunks (the first
-        ones, a short last chunk, all of them under past ALL) gather into
-        blocks of at least ATTENTION_BLOCK_ROWS rows, each scored over the
-        union of its chunks' windows. Every query row lies in exactly one
+        start one chunk apart. A run of two or more such chunks is batched,
+        in groups of at most GROUP_CELLS score cells, if the chunks are
+        shorter than ATTENTION_BLOCK_ROWS: a longer chunk is a block big
+        enough to run alone, and batching such slices only makes larger
+        buffers. The other chunks (the first ones, a short last chunk, all
+        of them under past ALL) gather into blocks of at least
+        ATTENTION_BLOCK_ROWS rows, each scored over the union of its chunks'
+        windows. Every query row lies in exactly one
         group, and every key it may see lies in the span its group scores.
         Derived on first use and cached.
         """
@@ -121,8 +133,11 @@ class ChunkMask:
         run = n if p == ALL or c >= ATTENTION_BLOCK_ROWS else -(-p // c)  # first chunk of the run
         if full - run < 2:
             return tuple(blocks(0, n))
-        batched = KeyGroup(run * c, c, full - run, run * c - p, c + p)
-        return tuple(blocks(0, run) + [batched] + blocks(full, n))
+        per = max(1, GROUP_CELLS // (c * (c + p)))  # slices per batched group
+        batched = [
+            KeyGroup(i * c, c, min(per, full - i), i * c - p, c + p) for i in range(run, full, per)
+        ]
+        return tuple(blocks(0, run) + batched + blocks(full, n))
 
     def ascii(self) -> str:
         """Rows of '#' (permitted) and '.' (blocked), query per line."""

@@ -8,6 +8,11 @@ produce bit-identical outputs and a value summed with interleaved exact
 zeros equals the value summed without them. That second property is what
 makes chunked decoding with caches agree exactly with one-shot masked
 decoding.
+
+`causal_conv1d` takes its taps packed side by side (`pack_taps`), which a
+model does once, not per call. Every op checks its operands' shapes and
+dtypes on each call: that is the contract the decoder and the autodiff
+mirror rely on, and what makes a bad operand a `ShapeError`.
 """
 
 from __future__ import annotations
@@ -232,13 +237,29 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 
     if eps <= 0:
         raise ValueError("layer_norm: eps must be positive")
     _check_same_dtype(x, gamma, "layer_norm")
+    _check_same_dtype(x, beta, "layer_norm")
     # np.add.reduce over d is what np.mean sums before its divide, minus
-    # np.mean's wrapper overhead.
-    mu = np.add.reduce(x, axis=1, keepdims=True) / d
+    # np.mean's wrapper overhead. Each step writes into a buffer made here
+    # where it can: the same operations in the same order, fewer arrays.
+    mu = np.add.reduce(x, axis=1, keepdims=True)
+    mu /= d
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
-    xhat = xc / np.sqrt(var + x.dtype.type(eps))
-    return gamma * xhat + beta
+    var = np.add.reduce(np.multiply(xc, xc), axis=1, keepdims=True)
+    var /= d
+    var += x.dtype.type(eps)
+    np.sqrt(var, out=var)
+    np.divide(xc, var, out=xc)
+    np.multiply(gamma, xc, out=xc)
+    np.add(xc, beta, out=xc)
+    return xc
+
+
+def pack_taps(w: np.ndarray) -> np.ndarray:
+    """Conv taps (k, d_in, d_out) side by side as one (d_in, k·d_out) matrix,
+    [w[0] | w[1] | ... | w[k-1]]: the operand of `causal_conv1d`."""
+    if w.ndim != 3:
+        raise ShapeError(f"pack_taps: expected 3-D taps (k, d_in, d_out), got {w.shape}")
+    return np.concatenate(w, axis=1)
 
 
 def causal_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,30 +267,35 @@ def causal_conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     `x` has shape (S_pad + T, d_in) where S_pad = kernel - 1 frames of left
     context are already prepended (carried state, or zeros at sequence
-    start). Output frame t is b + w[0]^T x[t] + ... + w[k-1]^T x[t+k-1],
-    taps accumulated in kernel order, so frame t of the output depends only
-    on input rows t..t+k-1. No padding happens inside this op.
+    start). `w` holds the k taps packed side by side (`pack_taps`),
+    (d_in, k·d_out), and `b` has d_out entries. Output frame t is
+    b + w[0]^T x[t] + ... + w[k-1]^T x[t+k-1], taps accumulated in kernel
+    order, so frame t of the output depends only on input rows t..t+k-1.
+    No padding happens inside this op.
 
-    All k taps come from one product: x against the taps packed side by
-    side, (d_in, k·d_out). Tap j's term for frame t is row t+j of that
-    product in column block j, the same dot product a per-tap product
-    gives, and the blocks are added to the bias in tap order.
+    All k taps come from one product, x against the packed taps. Tap j's
+    term for frame t is row t+j of that product in column block j, the
+    same dot product a per-tap product gives, and the blocks are added to
+    the bias in tap order.
     """
-    if x.ndim != 2 or w.ndim != 3:
-        raise ShapeError(f"causal_conv1d: expected x 2-D and w 3-D, got {x.shape} and {w.shape}")
-    k, d_in, d_out = w.shape
+    if x.ndim != 2 or w.ndim != 2 or b.ndim != 1:
+        raise ShapeError(
+            f"causal_conv1d: expected x and packed w 2-D, b 1-D, got {x.shape}, {w.shape} and {b.shape}"
+        )
+    d_in, d_out = w.shape[0], b.shape[0]
+    if d_out == 0 or w.shape[1] == 0 or w.shape[1] % d_out:
+        raise ShapeError(f"causal_conv1d: packed taps {w.shape} are not k blocks of bias width {d_out}")
+    k = w.shape[1] // d_out
     if x.shape[1] != d_in:
         raise ShapeError(f"causal_conv1d: input feature dim {x.shape[1]} != kernel d_in {d_in}")
-    if b.shape != (d_out,):
-        raise ShapeError(f"causal_conv1d: bias shape {b.shape} != ({d_out},)")
     if x.shape[0] < k:
         raise ShapeError(f"causal_conv1d: time length {x.shape[0]} shorter than kernel {k}")
     _check_same_dtype(x, w, "causal_conv1d")
+    _check_same_dtype(x, b, "causal_conv1d")
     t_out = x.shape[0] - k + 1
-    taps = matmul(x, np.concatenate(w, axis=1))
-    out = np.empty((t_out, d_out), dtype=x.dtype)
-    out[:] = b
-    for j in range(k):
+    taps = matmul(x, w)
+    out = b + taps[:t_out, :d_out]
+    for j in range(1, k):
         np.add(out, taps[j : j + t_out, j * d_out : (j + 1) * d_out], out=out)
     return out
 

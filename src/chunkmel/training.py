@@ -167,9 +167,9 @@ def adam_init(params: dict[str, np.ndarray]) -> AdamState:
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
     total = 0.0
-    for name in grads:
-        g = grads[name]
-        total += float(np.sum(g.astype(np.float64) * g.astype(np.float64)))
+    for g in grads.values():
+        g = g.astype(np.float64, copy=False)
+        total += float(np.sum(g * g))
     return math.sqrt(total)
 
 
@@ -239,7 +239,7 @@ def train_step(
 
         pred, tape = autodiff.forward_record(program, features[s], params)
         diff = pred - targets[s]
-        sample_loss = float(np.mean(diff * diff))
+        sample_loss = float(np.add.reduce(diff * diff, axis=None) / diff.size)
         total_loss += sample_loss
         seed = (2.0 / (diff.size * batch)) * diff
         grads = autodiff.backward(tape, seed.astype(pred.dtype))
@@ -263,8 +263,8 @@ def train_step(
 class TrainResult:
     model: decoder.ModelWeights
     log: list[dict]
-    initial_loss: float
-    final_loss: float
+    initial_loss: float | None  # None after zero steps: there is no loss
+    final_loss: float | None
 
 
 def train(
@@ -284,8 +284,6 @@ def train(
     opt = adam_init(params)
     rng = np.random.default_rng(train_cfg.seed + 1)
     log: list[dict] = []
-    initial_loss = None
-    loss = float("nan")
     for step in range(train_cfg.steps):
         feats, targs = generate_batch(
             task, train_cfg.frames, train_cfg.batch_size, rng, dtype=dec_cfg.dtype
@@ -296,8 +294,6 @@ def train(
         loss, params, opt, info = train_step(
             params, dec_cfg, train_cfg, feats, targs, batch_masks, opt
         )
-        if initial_loss is None:
-            initial_loss = loss
         log.append(
             {
                 "step": step,
@@ -311,8 +307,8 @@ def train(
     return TrainResult(
         model=final_model,
         log=log,
-        initial_loss=initial_loss if initial_loss is not None else float("nan"),
-        final_loss=loss,
+        initial_loss=log[0]["loss"] if log else None,
+        final_loss=log[-1]["loss"] if log else None,
     )
 
 

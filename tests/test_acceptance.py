@@ -134,7 +134,7 @@ def test_gradients_every_primitive_and_full_block_pass_finite_difference():
     check(lambda ops, w, p: ops.mul(ops.layer_norm(p["x"], p["g"], p["b"], 1e-5), w),
           {"x": arr(3, 5), "g": 1.0 + 0.1 * arr(5), "b": arr(5)}, inputs=w35)
     w54 = arr(5, 4)
-    check(lambda ops, w, p: ops.mul(ops.causal_conv1d(p["x"], p["w"], p["b"]), w),
+    check(lambda ops, w, p: ops.mul(ops.causal_conv1d(p["x"], ops.pack_taps(p["w"]), p["b"]), w),
           {"x": arr(6, 3), "w": arr(2, 3, 4), "b": arr(4)}, inputs=w54)
     w53 = arr(5, 3)
     check(lambda ops, w, p: ops.mul(ops.concat_time(p["a"], p["b"]), w),

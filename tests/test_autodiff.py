@@ -61,7 +61,7 @@ def test_fd_layer_norm():
 
 def test_fd_causal_conv():
     fd_pass(
-        lambda ops, x, p: ops.causal_conv1d(x, p["w"], p["b"]),
+        lambda ops, x, p: ops.causal_conv1d(x, ops.pack_taps(p["w"]), p["b"]),
         rand((9, 3), 11),
         {"w": rand((3, 3, 4), 12), "b": rand(4, 13)},
     )
@@ -250,9 +250,11 @@ def test_causal_conv_vjp_matches_loop_products(dtype, tol, k):
     w = rand((k, 8, 12), 54 + k).astype(dtype)
     b = rand(12, 55 + k).astype(dtype)
     g = rand((20, 12), 56 + k).astype(dtype)
-    dx, dw, db = autodiff.causal_conv1d(x, w, b).vjp(g)
+    dx, dw_packed, db = autodiff.causal_conv1d(x, tensor.pack_taps(w), b).vjp(g)
+    (dw,) = autodiff.pack_taps(w).vjp(dw_packed)
     want_dx, want_dw = dense_reference.conv_vjp_loops(x, w, g)
     assert dx.dtype == dw.dtype == dtype
+    assert dw.shape == w.shape and dw.flags.c_contiguous
     assert rel_err(dx, want_dx) <= tol
     assert rel_err(dw, want_dw) <= tol
     assert np.array_equal(db, np.sum(g, axis=0))

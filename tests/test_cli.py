@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -105,6 +106,17 @@ class TestMsdCommand:
             out, err = capsys.readouterr()
             assert out == ""
             assert f"{p_bad}: non-finite value at index (3, 1)" in err
+
+    @pytest.mark.parametrize("mean_squared", [[], ["--mean-squared"]])
+    def test_zero_frames_are_usage_error(self, tmp_path, capsys, mean_squared):
+        p = str(tmp_path / "empty.ctn")
+        io.save_tensor(p, np.zeros((0, 80)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.cli_dispatch(["msd", p, p, *mean_squared]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: msd:")
 
 
 class TestConfigHandling:
@@ -408,6 +420,22 @@ class TestTrainCommand:
         assert log["train"]["seed"] == 7
         assert "initial_loss" in log and "final_loss" in log
         assert "trained 3 steps" in capsys.readouterr().err
+
+    def test_zero_steps_log_holds_null_losses(self, tmp_path, capsys):
+        def refuse(name):
+            raise ValueError(f"log holds {name}")
+
+        log_out = str(tmp_path / "log.json")
+        code = cli.cli_dispatch(
+            ["train", "--config", write_config(tmp_path), "--steps", "0",
+             "--out", str(tmp_path / "m.cfpw"), "--log", log_out]
+        )
+        assert code == 0
+        log = json.loads(open(log_out).read(), parse_constant=refuse)
+        assert log["initial_loss"] is None and log["final_loss"] is None
+        assert log["steps"] == []
+        err = capsys.readouterr().err
+        assert "trained 0 steps" in err and "nan" not in err
 
 
 class TestReportCommands:

@@ -393,6 +393,23 @@ class TestPositionalEncoding:
         ref = dense_reference.posenc_mp(7, 9, 12)
         assert np.max(np.abs(pe - ref)) <= 1e-12
 
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("d_model", [7, 8, 33])
+    def test_bytes_equal_the_sinusoid_formula(self, dtype, d_model):
+        def formula(offset, length):  # sin and cos of f64 angles, cast at the end
+            pos = np.arange(offset, offset + length, dtype=np.float64)[:, None]
+            div = np.power(10000.0, np.arange(0, d_model, 2, dtype=np.float64) / float(d_model))
+            pe = np.zeros((length, d_model))
+            pe[:, 0::2] = np.sin(pos / div)
+            pe[:, 1::2] = np.cos(pos / div[: d_model // 2])
+            return pe.astype(decoder.DTYPES[dtype])
+
+        table = decoder.positional_encoding(0, 100_001, d_model, dtype)
+        assert table.tobytes() == formula(0, 100_001).tobytes()
+        for offset in (0, 1, 29, 30, 99_970, 100_000):
+            got = decoder.positional_encoding(offset, 30, d_model, dtype)
+            assert got.tobytes() == formula(offset, 30).tobytes()
+
     def test_f32_casts_after_f64_angles(self):
         pe32 = decoder.positional_encoding(3, 5, 8, "f32")
         pe64 = decoder.positional_encoding(3, 5, 8, "f64")
@@ -405,10 +422,36 @@ class TestBlockUnits:
         cfg = tiny_cfg(n_heads=2)
         model = decoder.init_weights(cfg, seed=19)
         for l in range(cfg.n_layers):
-            parts = np.split(model.wqkv[l], 3 * cfg.n_heads, axis=1)
+            parts = np.split(model.packed[l].wqkv, 3 * cfg.n_heads, axis=1)
             names = [f"layers.{l}.{t}.{i}" for t in ("wq", "wk", "wv") for i in range(cfg.n_heads)]
             for got, name in zip(parts, names):
                 assert np.array_equal(got, model.named[name])
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_conv_taps_are_packed_side_by_side(self, dtype, k):
+        cfg = tiny_cfg(kernel1=k, kernel2=5 - k, dtype=dtype)
+        model = decoder.init_weights(cfg, seed=k)
+        for l in range(cfg.n_layers):
+            for conv, packed in (("conv1_w", model.packed[l].conv1_w), ("conv2_w", model.packed[l].conv2_w)):
+                taps = model.named[f"layers.{l}.{conv}"]
+                assert packed.dtype == cfg.np_dtype and packed.flags.c_contiguous
+                assert np.array_equal(packed, np.concatenate([taps[j] for j in range(len(taps))], axis=1))
+
+    def test_decodes_never_repack_weights(self, monkeypatch):
+        cfg = tiny_cfg()
+        model = decoder.init_weights(cfg, seed=18)
+        x = make_inputs(cfg, 10, seed=18)
+        mask = masks.build_static_mask(10, cfg.chunk_size, cfg.past_size)
+
+        def refuse(*args):
+            raise AssertionError("a decode repacked weights")
+
+        monkeypatch.setattr(decoder, "pack_layer", refuse)
+        monkeypatch.setattr(tensor, "pack_taps", refuse)
+        decoder.decode_chunk(x[:4], model, decoder.init_state(cfg))
+        decoder.decode_incremental(x, model)
+        decoder.decode_parallel_masked(x, model, mask)
 
     def test_single_chunk_zero_past_is_plain_attention(self):
         cfg = tiny_cfg(past_size=0, n_heads=2)
@@ -416,7 +459,7 @@ class TestBlockUnits:
         w = model.named
         x = make_inputs(cfg, 6, seed=21)
         st = decoder.init_state(cfg).layers[0].attn
-        got, st2 = decoder.mha_chunk_step(tensor, x, model.wqkv[0], w["layers.0.wo"], st, cfg, None)
+        got, st2 = decoder.mha_chunk_step(tensor, x, model.packed[0].wqkv, w["layers.0.wo"], st, cfg, None)
         heads = []
         for i in range(cfg.n_heads):
             q = x @ w[f"layers.0.wq.{i}"]
@@ -437,7 +480,7 @@ class TestBlockUnits:
         model = decoder.ModelWeights(cfg, named)
         x = make_inputs(cfg, 5, seed=23)
         st = decoder.init_state(cfg).layers[0]
-        y, _ = decoder.fft_block_step(tensor, x, model.named, model.wqkv[0], 0, st, cfg, None)
+        y, _ = decoder.fft_block_step(tensor, x, model.named, model.packed[0], 0, st, cfg, None)
         ones = np.ones(cfg.d_model)
         zeros = np.zeros(cfg.d_model)
         expect = tensor.layer_norm(
@@ -447,13 +490,15 @@ class TestBlockUnits:
 
     def test_chunked_ffn_equals_one_shot(self):
         cfg = tiny_cfg(chunk_size=3)
-        params = decoder.init_weights(cfg, seed=24).named
+        model = decoder.init_weights(cfg, seed=24)
+        conv = (model.packed[0].conv1_w, model.named["layers.0.conv1_b"])
+        conv += (model.packed[0].conv2_w, model.named["layers.0.conv2_b"])
         x = make_inputs(cfg, 12, seed=25)
         st = decoder.init_state(cfg).layers[0].conv
-        whole, _ = decoder.ffn_chunk_step(tensor, x, params, 0, st, cfg)
+        whole, _ = decoder.ffn_chunk_step(tensor, x, *conv, st, cfg)
         parts = []
         for s in range(0, 12, 3):
-            out, st = decoder.ffn_chunk_step(tensor, x[s : s + 3], params, 0, st, cfg)
+            out, st = decoder.ffn_chunk_step(tensor, x[s : s + 3], *conv, st, cfg)
             parts.append(out)
         assert np.array_equal(np.concatenate(parts, axis=0), whole)
 

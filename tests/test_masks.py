@@ -231,6 +231,7 @@ class TestKeyGroups:
             covered += np.count_nonzero(cells)
             # a slice of at most one chunk sees its whole window, a longer block does not
             assert bool(cells.all()) == (g.rows <= mask.chunk_size)
+            assert g.count == 1 or g.count * g.rows * g.width <= masks.GROUP_CELLS
         assert (rows == 1).all()
         assert covered == np.count_nonzero(perm)
 
@@ -238,6 +239,13 @@ class TestKeyGroups:
         # chunk 0 sees 30 keys, chunks 1..32 see 45, the 10-frame tail 25
         groups = masks.build_static_mask(1000, 30, 15).key_groups
         assert [tuple(g) for g in groups] == [(0, 30, 1, 0, 30), (30, 30, 32, 15, 45), (990, 10, 1, 975, 25)]
+
+    def test_wide_windows_split_the_run_into_bounded_groups(self):
+        # chunks 10..31 see 331 keys each: 6 slices of 31 x 331 score cells per group
+        groups = masks.build_static_mask(1000, 31, 300).key_groups
+        run = [g for g in groups if g.rows == 31]  # the blocks before it hold 2 chunks each
+        assert [(g.row, g.count) for g in run] == [(310, 6), (496, 6), (682, 6), (868, 4)]
+        assert all(g.rows == 31 and g.width == 331 and g.key == g.row - 300 for g in run)
 
     def test_windows_that_do_not_repeat_fall_back_to_blocks(self):
         # past ALL: blocks of 32 one-frame chunks over their union of keys

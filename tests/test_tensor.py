@@ -427,7 +427,7 @@ def test_conv_matches_sliding_window_exactly(dtype, k):
     x = rand((t + k - 1, d_in), dtype, seed=k)
     w = rand((k, d_in, d_out), dtype, seed=k + 50)
     b = rand(d_out, dtype, seed=k + 99)
-    got = tensor.causal_conv1d(x, w, b)
+    got = tensor.causal_conv1d(x, tensor.pack_taps(w), b)
     assert got.shape == (t, d_out)
     assert np.array_equal(got, dense_reference.conv_loops(x, w, b))
     # longer inputs at the decoder's widths, against one product per tap
@@ -435,14 +435,14 @@ def test_conv_matches_sliding_window_exactly(dtype, k):
         x = rand((t + k - 1, d_in), dtype, seed=t + k)
         w = rand((k, d_in, d_out), dtype, seed=t + k + 50)
         b = rand(d_out, dtype, seed=t + k + 99)
-        assert tensor.causal_conv1d(x, w, b).tobytes() == conv_per_tap(x, w, b).tobytes()
+        assert tensor.causal_conv1d(x, tensor.pack_taps(w), b).tobytes() == conv_per_tap(x, w, b).tobytes()
 
 
 def test_conv_kernel1_equals_pointwise_projection():
     x = rand((8, 5), seed=1)
     w = rand((1, 5, 3), seed=2)
     b = rand(3, seed=3)
-    got = tensor.causal_conv1d(x, w, b)
+    got = tensor.causal_conv1d(x, tensor.pack_taps(w), b)
     want = np.empty((8, 3))
     want[:] = b
     want = want + tensor.matmul(x, w[0])
@@ -454,10 +454,10 @@ def test_conv_output_frame_ignores_later_input():
     x = rand((12, 4), seed=4)
     w = rand((k, 4, 4), seed=5)
     b = np.zeros(4)
-    base = tensor.causal_conv1d(x, w, b)
+    base = tensor.causal_conv1d(x, tensor.pack_taps(w), b)
     bumped = x.copy()
     bumped[7] += 1.0  # feeds output frames 5..7 only
-    changed = tensor.causal_conv1d(bumped, w, b)
+    changed = tensor.causal_conv1d(bumped, tensor.pack_taps(w), b)
     assert np.array_equal(base[:5], changed[:5])
     assert not np.array_equal(base[5:8], changed[5:8])
     assert np.array_equal(base[8:], changed[8:])
@@ -465,11 +465,18 @@ def test_conv_output_frame_ignores_later_input():
 
 def test_conv_rejects_bad_shapes():
     with pytest.raises(ShapeError):
-        tensor.causal_conv1d(np.zeros((4, 3)), np.zeros((2, 5, 2)), np.zeros(2))
+        tensor.causal_conv1d(np.zeros((4, 3)), tensor.pack_taps(np.zeros((2, 5, 2))), np.zeros(2))
     with pytest.raises(ShapeError):
-        tensor.causal_conv1d(np.zeros((1, 3)), np.zeros((2, 3, 2)), np.zeros(2))
+        tensor.causal_conv1d(np.zeros((1, 3)), tensor.pack_taps(np.zeros((2, 3, 2))), np.zeros(2))
     with pytest.raises(ShapeError):
-        tensor.causal_conv1d(np.zeros((4, 3)), np.zeros((2, 3, 2)), np.zeros(3))
+        tensor.causal_conv1d(np.zeros((4, 3)), tensor.pack_taps(np.zeros((2, 3, 2))), np.zeros(3))
+    # unpacked 3-D taps, and a packed width that is no whole number of bias widths
+    with pytest.raises(ShapeError):
+        tensor.causal_conv1d(np.zeros((4, 3)), np.zeros((2, 3, 2)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        tensor.causal_conv1d(np.zeros((4, 3)), np.zeros((3, 0)), np.zeros(2))
+    with pytest.raises(ShapeError):
+        tensor.pack_taps(np.zeros((3, 4)))
 
 
 # ---------------------------------------------------------------------------
